@@ -74,7 +74,7 @@ from repro.kernels.fusion import (
     apply_epilogue,
     resolve_epilogue_spec,
 )
-from repro.kernels.masked import tw_gemm
+from repro.kernels.masked import host_gemm, tw_gemm
 from repro.kernels.spmm import csc_left_spmm
 from repro.models.registry import GemmShape
 from repro.patterns.registry import PATTERNS, make_pattern, resolve_engine
@@ -156,7 +156,7 @@ class CompiledLayer:
 
         Both operands are frozen, so the product is computed once and
         parked in the instance ``__dict__`` — the same memo idiom the
-        kernels use for group operands.
+        kernels use for the TW GEMM operand.
         """
         hit = self.__dict__.get("_masked_dense")
         if hit is None:
@@ -387,8 +387,8 @@ class CompiledTWModel:
     def run(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` through the compiled layer stack.
 
-        TW layers execute as width-grouped batched GEMMs replaying the
-        compiled per-device plans (bit-identical to the hand-wired
+        TW layers execute as one GEMM each over the tiles of the compiled
+        per-device plans (bit-identical to the hand-wired
         ``tw_prune → from_masks → build_execution_plan → tw_gemm``
         pipeline); mask-only patterns execute dense GEMM against the
         mask-expanded weights.  A layer carrying an
@@ -423,7 +423,8 @@ class CompiledTWModel:
                 device = self.placement.device_for_layer(i, n)
                 y = tw_gemm(a, l.tw, plan=l.plans.get(device))
             else:
-                y = a @ l.masked_dense()
+                # the GEMM helper tw_gemm uses: same BLAS orientation
+                y = host_gemm(a, l.masked_dense())
             a = apply_epilogue(y, l.epilogue, residual=a) if l.epilogue else y
         return a
 

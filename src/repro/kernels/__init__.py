@@ -7,8 +7,8 @@ and cost separate lets tests pin numerical equivalence (e.g. TW masked GEMM
 
 - :mod:`repro.kernels.dense` — reference and explicitly-tiled dense GEMM.
 - :mod:`repro.kernels.masked` — the paper's TW masked GEMM (Listing 1),
-  executed batched per width group.
-- :mod:`repro.kernels.batched` — batched GEMM over equal-width tile groups.
+  executed as one GEMM per layer.
+- :mod:`repro.kernels.batched` — the plain batched GEMM primitive.
 - :mod:`repro.kernels.spmm` — CSR/CSC sparse×dense products (cuSparse path).
 - :mod:`repro.kernels.block_sparse` — BSR GEMM (BlockSparse path).
 - :mod:`repro.kernels.im2col` — convolution→GEMM lowering.
@@ -20,10 +20,9 @@ Execution pipeline (paper Fig. 7)
 The TW hot path follows **plan → batch → stream → execute**: a
 :func:`repro.runtime.batching.batching_plan` width-groups the tiles, a
 :class:`repro.runtime.scheduler.StreamAssignment` orders the groups across
-streams, and :func:`repro.kernels.masked.tw_gemm` executes each group as
-one zero-padded batched ``matmul`` (depth padded to the group's
-``max_depth``).  The cost model in :mod:`repro.gpu.tw_kernel` prices the
-*same* plan the executor runs.
+streams, and :func:`repro.kernels.masked.tw_gemm` executes the plan's
+tiles as one ``matmul`` over a single depth-padded operand.  The cost
+model in :mod:`repro.gpu.tw_kernel` prices the plan's width groups.
 
 Vectorisation contract
 ----------------------
@@ -44,7 +43,7 @@ reductions).  ``tests/test_vectorized_paths.py`` enforces the contract, and
 
 from repro.kernels.dense import gemm, tiled_gemm
 from repro.kernels.masked import masked_gemm, tw_gemm, tw_gemm_reference
-from repro.kernels.batched import batched_gemm, tw_batched_gemm
+from repro.kernels.batched import batched_gemm
 from repro.kernels.spmm import csr_spmm, csc_left_spmm
 from repro.kernels.block_sparse import bsr_left_gemm
 from repro.kernels.im2col import (
@@ -80,7 +79,6 @@ __all__ = [
     "tw_gemm",
     "tw_gemm_reference",
     "batched_gemm",
-    "tw_batched_gemm",
     "csr_spmm",
     "csc_left_spmm",
     "bsr_left_gemm",

@@ -23,6 +23,9 @@ fused forms are bit-identical to their unfused reference compositions
 out-of-place forms).  In float16/float32 they can only agree with the
 round-trip-per-primitive references to within storage-rounding — the fused
 path rounds once at the end, the reference rounds after every pass.
+LayerNorm's row reductions always run on a C-ordered buffer, so a
+Fortran-ordered GEMM output (feature-major ``tw_gemm``) normalises to the
+same bits as its C-ordered copy.
 
 :class:`EpilogueSpec` is the serializable per-layer attachment
 (`CompiledLayer.epilogue`, ``WaveStep.epilogue``): the epilogue name plus
@@ -127,7 +130,7 @@ def layernorm(
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(np.float64)
     acc = _acc_dtype(x.dtype)
-    xa = x.astype(acc, copy=False)
+    xa = x.astype(acc, order="C", copy=False)
     mean = xa.mean(axis=-1, keepdims=True)
     var = xa.var(axis=-1, keepdims=True)
     out = (xa - mean) / np.sqrt(var + eps)
@@ -212,7 +215,7 @@ def bias_layernorm(
     when the data is loaded into the register file")."""
     x = np.asarray(x)
     acc = _acc_dtype(x.dtype)
-    h = x.astype(acc, copy=False) + np.asarray(bias, dtype=acc)
+    h = np.add(x.astype(acc, copy=False), np.asarray(bias, dtype=acc), order="C")
     mean = h.mean(axis=-1, keepdims=True)
     var = h.var(axis=-1, keepdims=True)
     h -= mean
@@ -242,9 +245,9 @@ def dropout_residual_layernorm(
         keep = np.random.default_rng(seed).random(x.shape) >= p
         scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
         h = x * (keep.astype(x.dtype) * scale)
-        h = h.astype(acc, copy=False) + np.asarray(residual, dtype=acc)
+        h = np.add(h.astype(acc, copy=False), np.asarray(residual, dtype=acc), order="C")
     else:
-        h = x.astype(acc, copy=False) + np.asarray(residual, dtype=acc)
+        h = np.add(x.astype(acc, copy=False), np.asarray(residual, dtype=acc), order="C")
     mean = h.mean(axis=-1, keepdims=True)
     var = h.var(axis=-1, keepdims=True)
     h -= mean

@@ -8,9 +8,8 @@ block, loading only the rows of ``A`` that survive the tile's ``mask_k``
 - :func:`masked_gemm` — one tile: dense ``A`` panel × compact ``B`` panel
   under explicit ``mask_k`` / column-index vectors;
 - :func:`tw_gemm` — the whole product ``A @ W`` for a
-  :class:`~repro.formats.tiled.TiledTWMatrix`, executed as *width-grouped
-  batched* GEMMs following the paper's pipeline
-  (plan → batch → stream → execute, Fig. 7 steps 3–4);
+  :class:`~repro.formats.tiled.TiledTWMatrix`, executed as *one* GEMM over
+  a memoised, depth-padded operand of every tile in the plan;
 - :func:`tw_gemm_reference` — the one-kernel-per-tile loop (the "Normal
   GEMM" row of Fig. 7), kept verbatim as the scalar oracle under the
   vectorisation contract.
@@ -21,38 +20,43 @@ rows/columns contribute exactly zero, so skipping them changes nothing*.
 
 Execution pipeline
 ------------------
-``tw_gemm`` consumes the same :class:`~repro.runtime.batching.BatchGroup`
-plan the cost model prices: every group assembles its member tiles' compact
-payloads into one zero-padded batch (the paper's predicated tail).  Because
-every batch item multiplies the *same* activation matrix, the depth is
-padded to the shared ``K`` bound and the ``nb × K × width`` batch collapses
-into a single ``K × (nb·width)`` operand — one GEMM per group, no per-tile
-``A`` gather at all (the NumPy analogue of ``Load_A_Tile_with_Mask``:
-masked-off rows are predicated to zero instead of skipped).  All of the
-group's output columns then scatter in one vectorised store.
+The paper batches equal-width tiles (Fig. 7 step 3) so a GPU runs fewer,
+fuller kernels.  On a host every tile multiplies the *same* activation
+matrix, so ``tw_gemm`` goes one step further: the tiles of the plan it is
+given — every tile of the layer, by default — assemble into a single
+``K × Σ kept_n`` operand, each tile's compact payload zero-padded over its
+masked rows (the NumPy analogue of ``Load_A_Tile_with_Mask``: masked-off
+rows are predicated to zero instead of skipped) and the columns sorted by
+output index.  One GEMM per layer, no per-tile ``A`` gather.
 
-The assembled group operands are memoised on the weight (keyed by the
-group's ``tile_ids`` — weights are frozen, so payloads never change under
-a live memo), which is what lets a serving loop replay a cached
-:class:`~repro.runtime.scheduler.ExecutionPlan` and pay only the GEMMs.
-Pass ``plan=StreamAssignment.execution_order()`` (or an ``ExecutionPlan``)
-to execute groups in the scheduler's per-stream issue order.
+A float32 GEMM (also the float16 and int8 paths, which compute in float32)
+is written feature-major from :data:`FEATURE_MAJOR_MIN_ROWS` activation
+rows on (``B.T @ A.T`` into an ``N × M`` buffer), so the
+``Store_C_Tile_with_Mask`` scatter moves whole contiguous rows; the result
+is the ``M × N`` transposed view — Fortran-ordered, which the next layer's
+GEMM consumes without a copy.  Smaller batches and float64 run row-major
+(``A @ B``), which host BLAS runs faster there.  A layer that keeps every
+column skips the zero-fill and the scatter entirely.
+
+The operand is memoised on the weight (keyed by the sorted tile ids and
+the compute dtype), which is what lets a serving loop replay a cached
+:class:`~repro.runtime.scheduler.ExecutionPlan` and pay only the GEMM; the
+``process`` executor's workers receive it pre-built through shared memory
+(:mod:`repro.runtime.arena`).  The plan stays the cost model's artifact:
+its width groups are what :mod:`repro.gpu.tw_kernel` prices.
 
 Mixed precision
 ---------------
 ``tw_gemm`` follows the storage dtype of the compacted weight:
 
-- **float64 / float32** — operands multiply in their own dtype (the
-  historical behaviour; float32 runs BLAS sgemm directly).
-- **float16** — storage (checkpoint, shared-memory arena, pickle) stays
-  half precision; the GEMM *accumulates in float32* via an explicit
-  upcast-per-group (host BLAS has no half kernels) and the output rounds
-  back to float16 once.  The fp32 compute operand is memoised next to the
-  fp16 storage operand, so a serving loop upcasts each group exactly once.
+- **float64 / float32** — operands multiply in their own dtype.
+- **float16** — storage (checkpoint, pickle) stays half precision; the
+  GEMM *accumulates in float32* (host BLAS has no half kernels) through a
+  float32 operand, and the output rounds back to float16 once.
 - **int8** — tile payloads are symmetric per-tile quantised
-  (``q = round(w / scale)``, ``scale`` on each :class:`TWTile`); the GEMM
-  dequantises each group into a memoised fp32 operand and accumulates in
-  float32.  Activations stay floating point throughout.
+  (``q = round(w / scale)``, ``scale`` on each :class:`TWTile`); the
+  operand dequantises each slab into float32, which the GEMM accumulates
+  in.  Activations stay floating point throughout.
 
 Oracle-comparison policy (vectorisation contract): ``tw_gemm_reference``
 is the float-payload oracle and hardcodes a ``float64`` output promotion;
@@ -67,13 +71,27 @@ quantisation-error bound implied by the tile scales.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 
-__all__ = ["masked_gemm", "tw_gemm", "tw_gemm_reference", "DTYPE_TOLERANCES"]
+__all__ = [
+    "masked_gemm",
+    "host_gemm",
+    "tw_gemm",
+    "tw_gemm_reference",
+    "DTYPE_TOLERANCES",
+    "FEATURE_MAJOR_MIN_ROWS",
+]
+
+#: activation rows from which float32 GEMMs run feature-major (``B.T @ A.T``
+#: into an ``N × M`` buffer) instead of row-major ``A @ B``.  From an
+#: interleaved per-M A/B of a BERT-base block (2-core x86-64, OpenBLAS
+#: 0.3.31): row-major is faster up to M = 10, the two tie at M = 12,
+#: feature-major is faster from M = 14.  float64 stays row-major:
+#: feature-major dgemm lost at every M from 8 to 128 in the same A/B.
+FEATURE_MAJOR_MIN_ROWS = 12
 
 #: per-dtype tolerance table for batched-vs-oracle comparisons (the
 #: explicit oracle policy): compare in the batched path's dtype, reference
@@ -157,8 +175,26 @@ def tw_gemm_reference(a: np.ndarray, weight: TiledTWMatrix) -> np.ndarray:
     return out
 
 
+def _feature_major(a: np.ndarray) -> bool:
+    return a.dtype == np.float32 and a.shape[0] >= FEATURE_MAJOR_MIN_ROWS
+
+
+def host_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in the BLAS orientation that is faster for ``a``.
+
+    float32 products from :data:`FEATURE_MAJOR_MIN_ROWS` rows on are
+    computed feature-major (``b.T @ a.T`` into an ``N × M`` buffer) and
+    returned as the ``M × N`` transposed view, so the result is
+    Fortran-ordered.  Dense layers and :func:`tw_gemm` both run through
+    this rule, so a TW-vs-dense timing compares sparsity, not layout.
+    """
+    if _feature_major(a):
+        return np.matmul(b.T, a.T).T
+    return a @ b
+
+
 def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
-    """Compute ``A @ W`` for a TW-compacted weight matrix, batched per width.
+    """Compute ``A @ W`` for a TW-compacted weight matrix as one GEMM.
 
     Columns of the output that belong to no tile (pruned columns) are exact
     zeros, matching dense GEMM against the mask-expanded weights.
@@ -170,24 +206,21 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
     weight:
         The TW-compacted weight.
     plan:
-        Batch groups to execute, in order — a sequence of
+        The tiles to run — a sequence of
         :class:`~repro.runtime.batching.BatchGroup` or an
-        :class:`~repro.runtime.scheduler.ExecutionPlan` (executed in its
-        stream issue order).  Defaults to
-        :func:`~repro.runtime.batching.batching_plan` over ``weight``.
-        ``tile_ids`` index into ``weight.tiles``.
+        :class:`~repro.runtime.scheduler.ExecutionPlan`; ``tile_ids``
+        index into ``weight.tiles``.  Defaults to every tile.  Only the
+        set of tiles matters: every plan of a layer shares one operand.
 
     Notes
     -----
     Matches :func:`tw_gemm_reference` bit-identically on exactly-
-    representable data; on continuous data the zero-padded batched
-    reduction only differs by summation-order rounding.  The output dtype
-    follows ``np.result_type(a, weight payload)`` instead of the
-    reference's unconditional ``float64`` promotion, so float32 serving
-    does not double its memory traffic.  float16 weights accumulate in
-    float32 (upcast-per-group) and round the output back to float16; int8
-    weights dequantise per tile scale into float32 and return the float
-    result-type of the activations (never int).
+    representable data; on continuous data the zero-padded reduction only
+    differs by summation-order rounding.  The output dtype follows
+    ``np.result_type(a, weight payload)`` instead of the reference's
+    unconditional ``float64`` promotion (see :func:`compute_dtypes`).  A
+    float32 GEMM from :data:`FEATURE_MAJOR_MIN_ROWS` rows on returns a
+    Fortran-ordered view (see :func:`host_gemm`).
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -195,114 +228,95 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
     k, n = weight.shape
     if a.shape[1] != k:
         raise ValueError(f"A columns {a.shape[1]} != weight K {k}")
-    tiles = weight.tiles
-    w_dtype = tiles[0].data.dtype if tiles else np.dtype(np.float64)
-    if w_dtype.kind in "iu":
-        # quantised storage: fp32 accumulation, activations stay float
-        out_dtype = np.result_type(a.dtype, np.float32)
-    else:
-        out_dtype = np.result_type(a.dtype, w_dtype)
-    # host BLAS has no half kernels: fp16 GEMMs accumulate in fp32 via an
-    # explicit upcast-per-group and round the output once at the end
-    compute_dtype = np.dtype(np.float32) if out_dtype == np.float16 else np.dtype(out_dtype)
+    # a weight without tiles has no payload dtype: the activations decide
+    w_dtype = weight.dtype if weight.tiles else a.dtype
+    out_dtype, compute_dtype = compute_dtypes(a.dtype, w_dtype)
     m = a.shape[0]
-    if not tiles:
+    tile_ids = tuple(range(len(weight.tiles))) if plan is None else plan_tile_ids(plan)
+    operand = layer_operand(weight, tile_ids, compute_dtype)
+    if operand is None:
         return np.zeros((m, n), dtype=out_dtype)
-    if plan is None:
-        plan = weight.__dict__.get("_default_plan")
-        if plan is None:
-            # deferred import: repro.runtime imports this module for the server
-            from repro.runtime.batching import batching_plan
-
-            plan = batching_plan(weight)
-            object.__setattr__(weight, "_default_plan", plan)
-    elif hasattr(plan, "execution_order"):
-        plan = plan.execution_order()
+    panel, cols = operand
     if a.dtype != compute_dtype:
         a = a.astype(compute_dtype)
-    out = np.zeros((m, n), dtype=compute_dtype)
-    for group in plan:
-        operand = _group_operand(weight, group.tile_ids, compute_dtype)
-        if operand is None:
-            continue
-        b_padded, cols = operand
-        # Fig. 7 step 3: one GEMM per width group, one vectorised store —
-        # every output column belongs to exactly one tile
-        out[:, cols] = a @ b_padded
+    if cols.size == n:
+        # every column kept: the GEMM writes the output, no fill or scatter
+        out = host_gemm(a, panel)
+    elif _feature_major(a):
+        # each kept column lands as one contiguous row
+        out_t = np.zeros((n, m), dtype=compute_dtype)
+        out_t[cols] = panel.T @ a.T
+        out = out_t.T
+    else:
+        out = np.zeros((m, n), dtype=compute_dtype)
+        out[:, cols] = a @ panel
     return out if compute_dtype == out_dtype else out.astype(out_dtype)
 
 
-def _group_operand(
-    weight: TiledTWMatrix,
-    tile_ids: Sequence[int],
-    compute_dtype: np.dtype | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Assemble (and memoise) one group's depth-padded batched operand.
+def plan_tile_ids(plan) -> tuple[int, ...]:
+    """Sorted ids of the tiles a plan runs — its operand's memo key.
 
-    The member tiles' compact payloads scatter into a shared
-    ``K × Σ kept_n`` block — each tile's slab zero-padded over its masked
-    rows (the predicated tail), so the whole group multiplies the one
-    activation panel.  Memoised on the weight instance keyed by
-    ``tile_ids``; the frozen dataclass carries the memo via its instance
-    ``__dict__``.
-
-    The base memo holds the *storage-dtype* operand (what checkpoints,
-    pickles and shared-memory arenas carry).  When ``compute_dtype``
-    differs — fp16 storage accumulating in fp32, or int8 storage
-    dequantising through its per-tile scales — a second per-process memo
-    (``_compute_operands``) holds the compute-ready operand, built exactly
-    once per (group, dtype) so steady-state serving replays pure GEMMs.
+    ``plan`` is a sequence of :class:`~repro.runtime.batching.BatchGroup`
+    or an :class:`~repro.runtime.scheduler.ExecutionPlan`.
     """
-    cache = weight.__dict__.get("_group_operands")
+    groups = getattr(plan, "groups", plan)
+    return tuple(sorted({i for group in groups for i in group.tile_ids}))
+
+
+def compute_dtypes(a_dtype: np.dtype, w_dtype: np.dtype) -> tuple[np.dtype, np.dtype]:
+    """``(output dtype, GEMM dtype)`` of :func:`tw_gemm` for these operands.
+
+    Quantised storage accumulates in float32 with float activations; host
+    BLAS has no half kernels, so float16 results accumulate in float32 and
+    round once at the end.
+    """
+    if w_dtype.kind in "iu":
+        out_dtype = np.result_type(a_dtype, np.float32)
+    else:
+        out_dtype = np.result_type(a_dtype, w_dtype)
+    return out_dtype, np.dtype(np.float32) if out_dtype == np.float16 else np.dtype(out_dtype)
+
+
+def layer_operand(
+    weight: TiledTWMatrix,
+    tile_ids: tuple[int, ...],
+    compute_dtype: np.dtype,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The one GEMM operand of these tiles, memoised on ``weight``.
+
+    A ``K × Σ kept_n`` panel in ``compute_dtype``, built in one pass from
+    the tiles' compact payloads (int8 slabs dequantised by their tile's
+    scale), each slab zero-padded over its masked rows, with the columns
+    sorted by output index (returned alongside as ``cols``).  ``None``
+    when no tile has work.  Keyed by ``(tile_ids, compute_dtype)`` with
+    ``tile_ids`` sorted, so every plan of a layer shares one copy; the
+    frozen dataclass carries the memo in its instance ``__dict__``
+    (weights are frozen, so payloads never change under a live memo).
+    """
+    cache = weight.__dict__.get("_operands")
     if cache is None:
         cache = {}
-        object.__setattr__(weight, "_group_operands", cache)
-    key = tuple(tile_ids)
-    if key not in cache:
-        members = [weight.tiles[i] for i in key]
-        members = [t for t in members if t.kept_k and t.kept_n]
-        if not members:
-            cache[key] = None
-        else:
-            k = weight.shape[0]
-            total_width = sum(t.kept_n for t in members)
-            b_padded = np.zeros((k, total_width), dtype=members[0].data.dtype)
-            offset = 0
-            for t in members:
-                b_padded[t.row_indices(), offset : offset + t.kept_n] = t.data
-                offset += t.kept_n
-            cols = np.concatenate([t.col_indices for t in members])
-            cache[key] = (b_padded, cols)
-    base = cache[key]
-    if base is None:
+        object.__setattr__(weight, "_operands", cache)
+    key = (tile_ids, compute_dtype.str)
+    if key in cache:
+        return cache[key]
+    members = [weight.tiles[i] for i in tile_ids]
+    members = [t for t in members if t.kept_k and t.kept_n]
+    if not members:
+        cache[key] = None
         return None
-    storage_dtype = base[0].dtype
-    if compute_dtype is None or np.dtype(compute_dtype) == storage_dtype:
-        return base
-    ccache = weight.__dict__.get("_compute_operands")
-    if ccache is None:
-        ccache = {}
-        object.__setattr__(weight, "_compute_operands", ccache)
-    ckey = (key, np.dtype(compute_dtype).str)
-    hit = ccache.get(ckey)
-    if hit is not None:
-        return hit
-    quantized = storage_dtype.kind in "iu"
-    if not quantized:
-        b_compute = base[0].astype(compute_dtype)
-    else:
-        # rebuild per-slab so each tile's payload dequantises by its own
-        # scale (the concatenated base block has no slab boundaries)
-        members = [weight.tiles[i] for i in key]
-        members = [t for t in members if t.kept_k and t.kept_n]
-        k = weight.shape[0]
-        total_width = sum(t.kept_n for t in members)
-        b_compute = np.zeros((k, total_width), dtype=compute_dtype)
-        offset = 0
-        for t in members:
-            slab = t.data.astype(compute_dtype)
+    panel = np.zeros((weight.shape[0], sum(t.kept_n for t in members)), dtype=compute_dtype)
+    offset = 0
+    for t in members:
+        slab = t.data
+        if slab.dtype.kind in "iu":
+            slab = slab.astype(compute_dtype)
             slab *= np.asarray(t.scale, dtype=compute_dtype)
-            b_compute[t.row_indices(), offset : offset + t.kept_n] = slab
-            offset += t.kept_n
-    ccache[ckey] = (b_compute, base[1])
-    return ccache[ckey]
+        panel[t.row_indices(), offset : offset + t.kept_n] = slab
+        offset += t.kept_n
+    cols = np.concatenate([t.col_indices for t in members]).astype(np.int64, copy=False)
+    if np.any(cols[1:] < cols[:-1]):
+        order = np.argsort(cols, kind="stable")
+        panel, cols = panel[:, order], cols[order]
+    cache[key] = (panel, cols)
+    return cache[key]

@@ -3,10 +3,10 @@
 The process executor's whole premise is that a wave descriptor crossing
 the pickle boundary stays *small*: request rows, layer ids, slot tags,
 plans.  The heavy operands — a layer's compacted
-:class:`~repro.formats.tiled.TiledTWMatrix` payloads **and** the
-execution plan's width-group batched operands (the ``K × Σ width``
-zero-padded weight stacks :func:`repro.kernels.masked._group_operand`
-assembles) — are placed once, at server cache-fill time, into a
+:class:`~repro.formats.tiled.TiledTWMatrix` payloads **and** its GEMM
+operand (the ``K × Σ kept_n`` zero-padded panel
+:func:`repro.kernels.masked.layer_operand` assembles, in the dtype the
+GEMM computes in) — are placed once, at server cache-fill time, into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment.  Worker
 processes then *map* the segment and reconstruct the matrix as zero-copy
 read-only NumPy views; the per-wave message only carries an
@@ -34,9 +34,9 @@ Worker side
 :func:`attach` maps a segment (cached per segment name, so a persistent
 worker pays the map once per arena, not per wave) and rebuilds the
 :class:`TiledTWMatrix` from views.  Crucially it also pre-seeds the
-matrix's ``_group_operands`` memo with shm-backed views, so the worker's
-:func:`~repro.kernels.masked.tw_gemm` never *assembles* operands — the
-zero-copy stacks are the same bytes the parent computed, which is half of
+matrix's ``_operands`` memo with shm-backed views, so the worker's
+:func:`~repro.kernels.masked.tw_gemm` never *assembles* an operand — the
+zero-copy panel holds the same bytes the parent computed, which is half of
 the bit-identity argument (the other half: BLAS GEMM reduction order does
 not depend on which process calls it).
 """
@@ -52,6 +52,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix, TWTile
+from repro.kernels.masked import compute_dtypes, layer_operand, plan_tile_ids
 
 __all__ = [
     "ArenaRef",
@@ -93,10 +94,11 @@ class TileSlots:
 
 @dataclass(frozen=True)
 class OperandSlots:
-    """Slot table for one width-group batched operand.
+    """Slot table for one layer GEMM operand.
 
-    ``tile_ids`` is the group's memo key; ``stack`` is the ``K × Σ width``
-    zero-padded weight stack, ``cols`` the concatenated output columns.
+    ``tile_ids`` is the sorted tile set of the memo key (the other half is
+    ``stack``'s dtype); ``stack`` is the ``K × Σ kept_n`` zero-padded
+    panel, ``cols`` its sorted output columns.
     """
 
     tile_ids: tuple[int, ...]
@@ -109,10 +111,10 @@ class ArenaRef:
     """Picklable handle to a placed arena — all a worker needs to attach.
 
     A few hundred bytes of plain data: the segment name plus the slot
-    table describing where each tile array and group operand lives.
-    ``null_groups`` lists group keys whose operand is empty (all member
-    tiles fully pruned) so workers seed the memo with ``None`` instead of
-    re-deriving it.
+    table describing where each tile array and the GEMM operand live.
+    ``null_operands`` lists ``(tile_ids, dtype)`` memo keys whose operand
+    is empty (all member tiles fully pruned) so workers seed the memo with
+    ``None`` instead of re-deriving it.
     """
 
     name: str
@@ -120,7 +122,7 @@ class ArenaRef:
     granularity: int
     tiles: tuple[TileSlots, ...]
     operands: tuple[OperandSlots, ...]
-    null_groups: tuple[tuple[int, ...], ...]
+    null_operands: tuple[tuple[tuple[int, ...], str], ...]
     nbytes: int
     #: per-tile dequantisation scales (plain floats — a few bytes per tile,
     #: so they ride the picklable ref rather than earning shm slots).
@@ -156,40 +158,32 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def _group_keys(plans) -> list[tuple[int, ...]]:
-    """Unique group keys across plans, in first-seen order.
+def _tile_sets(plans) -> list[tuple[int, ...]]:
+    """Unique sorted tile sets across plans, in first-seen order.
 
-    ``batching_plan`` is a pure function of the weight, so every device's
-    plan for one layer yields the *same* groups — placing the first
-    plan's operands covers all of them.
+    Every device's plan for one layer runs the *same* tiles, so this is
+    normally one set — the layer's one operand.
     """
-    seen: list[tuple[int, ...]] = []
-    for plan in plans or ():
-        groups = plan.groups if hasattr(plan, "groups") else plan
-        for group in groups:
-            key = tuple(group.tile_ids)
-            if key not in seen:
-                seen.append(key)
-    return seen
+    return list(dict.fromkeys(plan_tile_ids(plan) for plan in plans or ()))
 
 
-def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
-    """Place (or re-reference) one layer's TW format + operands in shm.
+def place(key: object, tw: TiledTWMatrix, plans=(), act_dtype=None) -> ArenaRef:
+    """Place (or re-reference) one layer's TW format + operand in shm.
 
     Idempotent per ``key`` (the server's format-cache key): a repeat call
     bumps the refcount and returns the existing :class:`ArenaRef`.  The
-    group operands are computed through
-    :func:`~repro.kernels.masked._group_operand` — which also memoises
-    them on ``tw`` for the parent's own (inline-oracle) use — then copied
-    into the segment.
+    operand of each plan's tile set is built through
+    :func:`~repro.kernels.masked.layer_operand` — which also memoises it
+    on ``tw`` for the parent's own (inline-oracle) use — in the dtype
+    ``tw_gemm`` computes in for ``act_dtype`` activations (default: the
+    weight's own float dtype, float32 for int8), then copied into the
+    segment.
     """
     with _lock:
         hit = _owned.get(key)
         if hit is not None:
             hit.refcount += 1
             return hit.ref
-    from repro.kernels.masked import _group_operand
-
     # gather every array the segment will hold, in layout order
     arrays: list[np.ndarray] = []
     for t in tw.tiles:
@@ -198,15 +192,18 @@ def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
             np.ascontiguousarray(t.mask_k, dtype=bool),
             np.ascontiguousarray(t.data),
         ))
+    if act_dtype is None:
+        act_dtype = np.float32 if tw.quantized else tw.dtype
+    _, compute_dtype = compute_dtypes(np.dtype(act_dtype), tw.dtype)
     op_entries: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
-    null_groups: list[tuple[int, ...]] = []
-    for gkey in _group_keys(plans):
-        operand = _group_operand(tw, gkey)
+    null_operands: list[tuple[tuple[int, ...], str]] = []
+    for ids in _tile_sets(plans):
+        operand = layer_operand(tw, ids, compute_dtype)
         if operand is None:
-            null_groups.append(gkey)
+            null_operands.append((ids, compute_dtype.str))
             continue
         stack, cols = operand
-        op_entries.append((gkey, np.ascontiguousarray(stack),
+        op_entries.append((ids, np.ascontiguousarray(stack),
                            np.ascontiguousarray(cols, dtype=np.int64)))
         arrays.extend(op_entries[-1][1:])
 
@@ -232,11 +229,11 @@ def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
     )
     operand_slots = tuple(
         OperandSlots(
-            tile_ids=gkey,
+            tile_ids=ids,
             stack=write(*next(slot_iter)),
             cols=write(*next(slot_iter)),
         )
-        for gkey, _stack, _cols in op_entries
+        for ids, _stack, _cols in op_entries
     )
     ref = ArenaRef(
         name=shm.name,
@@ -244,7 +241,7 @@ def place(key: object, tw: TiledTWMatrix, plans=()) -> ArenaRef:
         granularity=tw.granularity,
         tiles=tile_slots,
         operands=operand_slots,
-        null_groups=tuple(null_groups),
+        null_operands=tuple(null_operands),
         nbytes=nbytes,
         scales=tuple(float(t.scale) for t in tw.tiles),
     )
@@ -331,7 +328,7 @@ def attach(ref: ArenaRef) -> TiledTWMatrix:
 
     Cached per segment name: a persistent worker maps each arena once and
     replays it for every later wave.  The rebuilt matrix's
-    ``_group_operands`` memo is pre-seeded with shm-backed views, so
+    ``_operands`` memo is pre-seeded with shm-backed views, so
     ``tw_gemm`` on it never assembles an operand.  Raises
     ``FileNotFoundError`` if the owner already unlinked the segment (a
     closed server) — the wave fails and the caller's retry path rebuilds.
@@ -368,14 +365,14 @@ def attach(ref: ArenaRef) -> TiledTWMatrix:
     )
     tw = TiledTWMatrix(shape=tuple(ref.shape), granularity=ref.granularity,
                        tiles=tiles)
-    memo: dict[tuple[int, ...], object] = {}
+    memo: dict[tuple[tuple[int, ...], str], object] = {}
     for op in ref.operands:
-        memo[tuple(op.tile_ids)] = (
+        memo[(tuple(op.tile_ids), np.dtype(op.stack.dtype).str)] = (
             _view(shm.buf, op.stack), _view(shm.buf, op.cols),
         )
-    for gkey in ref.null_groups:
-        memo[tuple(gkey)] = None
-    object.__setattr__(tw, "_group_operands", memo)
+    for gkey, dtype in ref.null_operands:
+        memo[(tuple(gkey), dtype)] = None
+    object.__setattr__(tw, "_operands", memo)
     _attached[ref.name] = (shm, tw)
     return tw
 

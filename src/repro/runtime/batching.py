@@ -2,11 +2,14 @@
 
 Equal-width TW tiles batch into one kernel; this module builds the explicit
 plan (which tiles go to which kernel, padded depth, launch savings) that
-:mod:`repro.runtime.scheduler` assigns to streams, the engine prices, *and*
-the functional executor (:func:`repro.kernels.masked.tw_gemm`) runs.  There
-is exactly one plan representation — a list of :class:`BatchGroup` — shared
-by the cost model and the executor, so what gets priced is what executes
-(plan → batch → stream → execute).
+:mod:`repro.runtime.scheduler` assigns to streams and the engine prices.
+There is exactly one plan representation — a list of :class:`BatchGroup` —
+so what gets priced is what the modeled GPU would launch (plan → batch →
+stream → execute).  The host executor,
+:func:`repro.kernels.masked.tw_gemm`, runs the plan's tiles as *one* GEMM
+per layer over a single depth-padded operand: every group multiplies the
+same activations at the full ``K``, so separate group GEMMs would only add
+calls and strided stores on a host.
 """
 
 from __future__ import annotations

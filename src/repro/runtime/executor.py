@@ -774,7 +774,7 @@ class ProcessExecutor(Executor):
     the wave's *whole* step — operand lookup, output scatter, Python
     bookkeeping — runs outside the parent's GIL.  Combined with the
     shared-memory weight arenas (the server places compacted formats and
-    group operands once; workers map them zero-copy and each wave message
+    their GEMM operands once; workers map them zero-copy and each wave message
     carries only rows + step specs) this is what turns the paper's
     "independent batched GEMMs" into measured, unpaced speedup on
     multi-core hosts.

@@ -1351,15 +1351,15 @@ class TWModelServer:
             ref = None
             if self._needs_arenas:
                 # place-at-cache-fill: the first wave that touches a format
-                # under a process executor publishes it (tiles + the plan's
-                # width-group operands) to shared memory; every later wave
-                # reuses the same segment and ships only this small ref.
-                # Group tile-ids are device-independent, so one plan's
-                # operands serve every device slot.
+                # under a process executor publishes it (tiles + the layer's
+                # GEMM operand) to shared memory; every later wave reuses
+                # the same segment and ships only this small ref.  Every
+                # device's plan runs the same tiles, so one operand serves
+                # every device slot.
                 key = self._format_key(layer)
                 ref = self._arenas.get(key)
                 if ref is None:
-                    ref = _arena.place(key, tw, plans=(plan,))
+                    ref = _arena.place(key, tw, plans=(plan,), act_dtype=dtype)
                     self._arenas[key] = ref
             steps.append(
                 WaveStep(

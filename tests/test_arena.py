@@ -2,7 +2,7 @@
 
 The lifecycle contract under test: ``place`` is idempotent/refcounted per
 cache key, ``attach`` rebuilds a bit-identical read-only
-:class:`TiledTWMatrix` (tiles *and* pre-seeded group operands) from the
+:class:`TiledTWMatrix` (tiles *and* the pre-seeded GEMM operand) from the
 segment, and ``release`` unlinks deterministically at refcount zero — no
 ``/dev/shm`` entry survives a balanced place/release sequence.
 """
@@ -120,10 +120,10 @@ class TestAttach:
         ref = arena.place("key-j", tw, plans=(plan,))
         try:
             got = arena.attach(ref)
-            memo = got.__dict__["_group_operands"]
-            assert len(memo) == len(ref.operands) + len(ref.null_groups)
+            memo = got.__dict__["_operands"]
+            assert len(memo) == len(ref.operands) + len(ref.null_operands)
             # the seeded operands are the same bytes the parent computed
-            parent_memo = tw.__dict__["_group_operands"]
+            parent_memo = tw.__dict__["_operands"]
             for key, value in memo.items():
                 if value is None:
                     assert parent_memo[key] is None
@@ -147,6 +147,30 @@ class TestAttach:
         finally:
             arena.detach_all()
             arena.release("key-k")
+
+    @pytest.mark.parametrize("dtype", ["float16", "int8"])
+    def test_attached_operand_is_in_the_compute_dtype(self, dtype):
+        # float16/int8 payloads compute in float32: the arena carries the
+        # float32 operand, so a worker's GEMM builds nothing of its own
+        rng = np.random.default_rng(81)
+        dense = rng.standard_normal((24, 24))
+        step = tw_prune_step([np.abs(dense)], 0.5, TWPruneConfig(granularity=8))
+        tw = TiledTWMatrix.from_masks(dense, 8, step.col_keeps[0], step.row_masks[0],
+                                      dtype=np.dtype(dtype))
+        plan = build_execution_plan(tw)
+        act = np.float32 if dtype == "int8" else np.float16
+        a = rng.standard_normal((5, 24)).astype(act)
+        ref = arena.place("key-n", tw, plans=(plan,), act_dtype=act)
+        try:
+            got_tw = arena.attach(ref)
+            memo = got_tw.__dict__["_operands"]
+            assert [v[0].dtype for v in memo.values()] == [np.float32]
+            ids = {k: id(v) for k, v in memo.items()}
+            np.testing.assert_array_equal(tw_gemm(a, got_tw, plan=plan), tw_gemm(a, tw, plan=plan))
+            assert {k: id(v) for k, v in memo.items()} == ids  # nothing rebuilt
+        finally:
+            arena.detach_all()
+            arena.release("key-n")
 
     def test_attach_is_cached_per_segment(self):
         tw, plan = _tw_and_plan(9)

@@ -16,10 +16,10 @@ from repro.kernels import (
     csr_spmm,
     gemm,
     tiled_gemm,
-    tw_batched_gemm,
     tw_gemm,
 )
 from repro.kernels.masked import masked_gemm
+from repro.runtime.batching import batching_plan
 from repro.kernels.spmm import spmm_rowwise_reference
 
 
@@ -98,7 +98,11 @@ class TestTWGemm:
         rng = np.random.default_rng(6)
         w, tw = make_tw(rng, k=40, n=64, g=8, sparsity=0.7)
         a = rng.standard_normal((9, 40))
-        np.testing.assert_allclose(tw_batched_gemm(a, tw), tw_gemm(a, tw), atol=1e-10)
+        np.testing.assert_allclose(
+            tw_gemm(a, tw, plan=batching_plan(tw)),
+            tw_gemm(a, tw, plan=batching_plan(tw, enabled=False)),
+            atol=1e-10,
+        )
 
     def test_zero_sparsity_equals_dense(self):
         rng = np.random.default_rng(7)
@@ -218,7 +222,7 @@ def test_tw_gemm_equivalence_property(m, k, n, g, sparsity, seed):
     a = rng.standard_normal((m, k))
     expected = a @ (w * step.masks[0])
     np.testing.assert_allclose(tw_gemm(a, tw), expected, atol=1e-9)
-    np.testing.assert_allclose(tw_batched_gemm(a, tw), expected, atol=1e-9)
+    np.testing.assert_allclose(tw_gemm(a, tw, plan=batching_plan(tw)), expected, atol=1e-9)
 
 
 @given(

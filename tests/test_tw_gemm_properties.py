@@ -1,0 +1,179 @@
+"""Property tests of the one-GEMM ``tw_gemm`` against its oracles.
+
+``tw_gemm`` runs a layer as one GEMM over a memoised, column-sorted
+operand; float32 GEMMs from ``FEATURE_MAJOR_MIN_ROWS`` activation rows on
+run feature-major (Fortran-ordered result), everything else row-major.
+These properties draw random shapes, column and row masks — every column
+kept, no column kept, depth-1 tiles — and batch sizes on both sides of the
+cut-off, and pin that the layout never shows: not in the values, not in
+the memo, not through the wire codec, not through an epilogue.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.formats.tiled import TiledTWMatrix
+from repro.kernels.fusion import EPILOGUES, EpilogueSpec, apply_epilogue
+from repro.kernels.masked import (
+    DTYPE_TOLERANCES,
+    FEATURE_MAJOR_MIN_ROWS,
+    tw_gemm,
+    tw_gemm_reference,
+)
+from repro.runtime.batching import batching_plan
+from repro.runtime.scheduler import build_execution_plan
+from repro.runtime.wire import decode_tensor, encode_tensor
+
+COLUMNS = ("random", "all", "none")
+ROWS = ("random", "all", "depth1")
+
+
+def _weight(seed, k, n, g, columns, rows, dtype, dyadic=False):
+    """A random TW weight with the requested column and row mask shapes."""
+    rng = np.random.default_rng(seed)
+    col_keep = {
+        "random": rng.random(n) < 0.6,
+        "all": np.ones(n, dtype=bool),
+        "none": np.zeros(n, dtype=bool),
+    }[columns]
+    row_masks = []
+    for _ in TiledTWMatrix.column_groups(col_keep, g):
+        if rows == "all":
+            mk = np.ones(k, dtype=bool)
+        elif rows == "depth1":
+            mk = np.zeros(k, dtype=bool)
+            mk[rng.integers(k)] = True
+        else:
+            mk = rng.random(k) < 0.5
+        row_masks.append(mk)
+    if dyadic:
+        dense = rng.integers(-8, 9, (k, n)) / 4.0
+    else:
+        dense = rng.standard_normal((k, n))
+    return TiledTWMatrix.from_masks(dense, g, col_keep, row_masks, dtype=np.dtype(dtype))
+
+
+def _activations(seed, m, k, dtype, dyadic=False):
+    rng = np.random.default_rng([seed, 1])
+    if dyadic:
+        return (rng.integers(-8, 9, (m, k)) / 4.0).astype(dtype)
+    return rng.standard_normal((m, k)).astype(dtype)
+
+
+shapes = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 300),  # M, both sides of the cut-off
+    st.integers(1, 40),  # K
+    st.integers(1, 48),  # N
+    st.sampled_from([1, 2, 4, 8, 16]),  # G
+    st.sampled_from(COLUMNS),
+    st.sampled_from(ROWS),
+)
+
+
+@given(shapes, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_float64_dyadic_is_exact(shape, reverse_tiles):
+    seed, m, k, n, g, columns, rows = shape
+    tw = _weight(seed, k, n, g, columns, rows, "float64", dyadic=True)
+    if reverse_tiles:  # tile ids no longer follow column order
+        tw = TiledTWMatrix(shape=tw.shape, granularity=g, tiles=tw.tiles[::-1])
+    a = _activations(seed, m, k, "float64", dyadic=True)
+    got = tw_gemm(a, tw)
+    assert got.shape == (m, n) and got.dtype == np.float64
+    np.testing.assert_array_equal(got, tw_gemm_reference(a, tw))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float16"])
+@given(shape=shapes)
+@settings(max_examples=40, deadline=None)
+def test_float_dtypes_within_policy(dtype, shape):
+    seed, m, k, n, g, columns, rows = shape
+    tw = _weight(seed, k, n, g, columns, rows, dtype)
+    a = _activations(seed, m, k, dtype)
+    got = tw_gemm(a, tw)
+    assert got.dtype == np.dtype(dtype)
+    tol = DTYPE_TOLERANCES[dtype]
+    want = tw_gemm_reference(a, tw).astype(dtype)
+    np.testing.assert_allclose(got, want, rtol=tol["rtol"], atol=tol["atol"])
+
+
+@given(shapes)
+@settings(max_examples=40, deadline=None)
+def test_int8_matches_dequantised_float64_path(shape):
+    seed, m, k, n, g, columns, rows = shape
+    tw8 = _weight(seed, k, n, g, columns, rows, "int8")
+    a = _activations(seed, m, k, "float32")
+    got = tw_gemm(a, tw8)
+    assert got.dtype == np.float32
+    a64 = a.astype(np.float64)
+    w64 = tw8.to_dense().astype(np.float64)
+    # float32 accumulation error, bounded per element by K·eps·Σ|a||w|
+    bound = k * np.finfo(np.float32).eps * (np.abs(a64) @ np.abs(w64))
+    assert np.all(np.abs(got - a64 @ w64) <= bound + 1e-30)
+
+
+def test_every_plan_of_a_layer_shares_one_memo_entry():
+    tw = _weight(5, 32, 48, 8, "random", "random", "float64")
+    a = _activations(5, 20, 32, "float64")
+    plan = build_execution_plan(tw)
+    want = tw_gemm(a, tw)
+    for p in (plan, plan.groups, plan.execution_order(), batching_plan(tw),
+              batching_plan(tw, enabled=False), list(reversed(plan.groups))):
+        np.testing.assert_array_equal(tw_gemm(a, tw, plan=p), want)
+    assert len(tw.__dict__["_operands"]) == 1
+    # float32 activations on float64 payloads still compute in float64
+    tw_gemm(a.astype(np.float32), tw)
+    assert len(tw.__dict__["_operands"]) == 1
+    # a second compute dtype is a second entry
+    tw32 = _weight(5, 32, 48, 8, "random", "random", "float32")
+    tw_gemm(a, tw32)
+    tw_gemm(a.astype(np.float32), tw32)
+    assert len(tw32.__dict__["_operands"]) == 2
+
+
+def _feature_major_output(seed, k, n, columns="random"):
+    """A float32 ``tw_gemm`` result past the cut-off (Fortran-ordered)."""
+    tw = _weight(seed, k, n, 8, columns, "random", "float32")
+    a = _activations(seed, FEATURE_MAJOR_MIN_ROWS + 3, k, "float32")
+    out = tw_gemm(a, tw)
+    assert out.flags.f_contiguous and not out.flags.c_contiguous
+    return a, out
+
+
+@pytest.mark.parametrize("columns", ["random", "all"])
+def test_feature_major_output_round_trips_the_wire(columns):
+    _, out = _feature_major_output(6, 24, 40, columns)
+    back = decode_tensor(encode_tensor(out))
+    assert back.dtype == out.dtype
+    np.testing.assert_array_equal(back, out)
+
+
+def _spec(name, n, rng, p):
+    return EpilogueSpec(
+        name=name,
+        bias=rng.standard_normal(n),
+        gamma=rng.standard_normal(n),
+        beta=rng.standard_normal(n),
+        p=p,
+        seed=3,
+    )
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("name", EPILOGUES.names())
+def test_epilogue_on_feature_major_output_matches_c_order_copy(name, reference, p):
+    rng = np.random.default_rng(7)
+    a, y = _feature_major_output(7, 32, 32)
+    a, y = a.astype(np.float64), y.astype(np.float64)  # keeps the layout
+    assert y.flags.f_contiguous
+    spec = _spec(name, 32, rng, p)
+    # in a layer stack the residual (the layer input) is feature-major too
+    got = apply_epilogue(y, spec, residual=np.asfortranarray(a), reference=reference)
+    want = apply_epilogue(
+        np.ascontiguousarray(y), spec, residual=np.ascontiguousarray(a), reference=reference
+    )
+    np.testing.assert_array_equal(got, want)

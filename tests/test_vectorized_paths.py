@@ -468,7 +468,7 @@ class TestTWGemmBatched:
         tw = _random_tw(rng, 16, 24, 4)
         a = rng.integers(-4, 5, (3, 16)).astype(float)
         first = tw_gemm(a, tw)
-        assert "_group_operands" in tw.__dict__  # memo materialised
+        assert "_operands" in tw.__dict__  # memo materialised
         np.testing.assert_array_equal(tw_gemm(a, tw), first)
 
     # --- the explicit oracle-comparison policy (mixed precision) -------
@@ -518,7 +518,7 @@ class TestTWGemmBatched:
 
     def test_compute_operand_memo_reused_across_calls(self):
         # fp16 storage accumulates in fp32: the upcast operand is memoised
-        # per (group, compute dtype) so a serving loop upcasts once
+        # per (tile set, compute dtype) so a serving loop upcasts once
         rng = np.random.default_rng(13)
         col_keep = np.ones(8, dtype=bool)
         masks = [np.ones(16, dtype=bool), np.ones(16, dtype=bool)]
@@ -526,7 +526,7 @@ class TestTWGemmBatched:
         tw = TiledTWMatrix.from_masks(dense, 4, col_keep, masks, dtype=np.float16)
         a = rng.standard_normal((3, 16)).astype(np.float16)
         first = tw_gemm(a, tw)
-        ccache = tw.__dict__["_compute_operands"]
+        ccache = tw.__dict__["_operands"]
         ids = {k: id(v) for k, v in ccache.items()}
         again = tw_gemm(a, tw)
         assert {k: id(v) for k, v in ccache.items()} == ids  # no rebuild
