@@ -42,24 +42,16 @@ future PR has a perf trajectory to regress against:
   time, and the busy/critical-path ratio (the parallel headroom a sharded
   deployment would realise by overlapping shards).  Outputs are asserted
   identical across placements.
-- **server_parallel** — measured wall-time of the ``threaded`` executor vs
-  the ``inline`` oracle for 2-device placements on the same BERT-base
-  stack.  Runs are *paced*: every GEMM occupies its device slot for
-  ``pace ×`` the cost model's predicted device time (sleeps release the
-  GIL), so the recorded ``wall_speedup_vs_inline`` measures the real
-  overlap of the simulated devices on any host — including single-core CI
-  boxes where concurrent *compute* cannot beat serial.  On multi-core
-  hosts the same executor additionally overlaps the NumPy compute.
-  Outputs are asserted bit-identical between executors; the measured
-  speedup is reported next to the modeled ``critical_path_s`` headroom
-  (their ratio is ``parallel_efficiency``).  The section's ``process``
-  rows are the ISSUE 7 counterpart: *unpaced* wall-time of the
-  ``process`` executor (one worker per device slot, weights mapped from
-  shared-memory arenas, BLAS pinned to 1 thread per worker) vs unpaced
-  ``inline``.  These rows measure genuine multi-core compute speedup, so
-  they depend on the host: the ≥1.5x goal needs 2+ physical cores, and
-  ``cpu_count`` is recorded next to the measurement to make a 1-core
-  result legible as a host limit rather than a regression.
+- **server_parallel** — measured flush wall-time of the ``threaded``
+  executor vs the ``inline`` oracle for 2-device placements on the same
+  BERT-base stack, with nothing simulated: both servers are warm, rounds
+  alternate which executor flushes first, and each cell is the median
+  flush over the rounds (quartiles beside it).  Outputs are asserted
+  bit-identical between executors.  ``inline``'s GEMMs already use every
+  BLAS thread, so ``threaded`` can only win by overlapping the non-BLAS
+  work; every row records ``cpu_count`` and ``blas_threads`` because the
+  ratio depends on both.  ``modeled_headroom`` (busy / critical path) is
+  the modeled column, never the headline.
 - **server_faults** — recovery overhead of the fault-tolerant flush path:
   the same BERT-base request stream served fault-free and under seeded
   deterministic fault schedules (transient exceptions retried at fresh
@@ -477,8 +469,21 @@ def bench_sharded_server(quick: bool) -> dict:
     }
 
 
+def _host_threads() -> dict:
+    """``cpu_count`` and the BLAS thread count, for rows whose ratio needs them."""
+    import os
+    import sys
+
+    root = str(Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.common import blas_threads
+
+    return {"cpu_count": os.cpu_count(), "blas_threads": blas_threads()}
+
+
 def _parallel_case(
-    blocks: int, n_req: int, g: int, sparsity: float, dtype: str, pace: float
+    blocks: int, n_req: int, g: int, sparsity: float, dtype: str, rounds: int
 ) -> dict:
     import repro
     from repro.api import demo_layer_stack
@@ -487,6 +492,7 @@ def _parallel_case(
     from repro.runtime.server import ServerConfig, ServerStats
 
     req_rows = 16
+    executors = ("inline", "threaded")
     weights, names = demo_layer_stack("bert", blocks=blocks, seed=8, dtype=np.float32)
     placements = {
         "replicated_x2": Placement("replicated", (V100, V100)),
@@ -497,6 +503,7 @@ def _parallel_case(
         rng.standard_normal((req_rows, weights[0].shape[0])).astype(dtype)
         for _ in range(n_req)
     ]
+    host = _host_threads()
     rows = {}
     reference_out = None
     for label, placement in placements.items():
@@ -504,149 +511,86 @@ def _parallel_case(
             weights, pattern="tw", sparsity=sparsity, granularity=g,
             dtype=np.dtype(dtype), names=names, placement=placement,
         )
-        per_exec = {}
-        for executor in ("inline", "threaded"):
-            server = model.serve(ServerConfig(
+        servers = {
+            executor: model.serve(ServerConfig(
                 granularity=g, dtype=dtype, placement=placement,
                 max_wave_rows=2 * req_rows,  # 2 requests per wave -> several
-                executor=executor, pace=pace,  # waves stream through slots
+                executor=executor,  # waves stream through slots
             ))
-            server.serve(reqs[0])  # warm: plans + GEMM operands built
-            server.stats = ServerStats()  # timed run starts from zero
-            for r in reqs:
-                server.submit(r)
-            served = server.flush()
-            out = served[0].output
-            if reference_out is None:
-                reference_out = out
-            else:
-                # neither the executor nor the placement may change results
-                assert np.array_equal(out, reference_out), (label, executor)
-            per_exec[executor] = server.stats
-        inline, threaded = per_exec["inline"], per_exec["threaded"]
-        speedup = inline.wall_time_s / threaded.wall_time_s
+            for executor in executors
+        }
+        walls: dict[str, list[float]] = {executor: [] for executor in executors}
+        try:
+            for server in servers.values():
+                for _ in placement.devices:  # every slot's plan + GEMM operand built
+                    server.serve(reqs[0])
+                server.stats = ServerStats()  # timed rounds start from zero
+            for r in range(rounds):
+                # alternate the order so host drift lands on both executors
+                for executor in executors if r % 2 == 0 else executors[::-1]:
+                    server = servers[executor]
+                    for q in reqs:
+                        server.submit(q)
+                    t0 = time.perf_counter()
+                    served = server.flush()
+                    walls[executor].append(time.perf_counter() - t0)
+                    out = np.concatenate([s.output for s in served])
+                    if reference_out is None:
+                        reference_out = out
+                    else:
+                        # neither the executor nor the placement may change results
+                        assert np.array_equal(out, reference_out), (label, executor)
+        finally:
+            for server in servers.values():
+                server.close()
+        med = {e: float(np.median(w)) for e, w in walls.items()}
+        threaded = servers["threaded"].stats
+        critical = threaded.critical_path_s()
+        speedup = med["inline"] / med["threaded"]
         rows[label] = {
-            "inline_wall_ms": round(inline.wall_time_s * 1e3, 2),
-            "threaded_wall_ms": round(threaded.wall_time_s * 1e3, 2),
+            "inline_wall_ms": round(med["inline"] * 1e3, 2),
+            "threaded_wall_ms": round(med["threaded"] * 1e3, 2),
+            "quartiles_ms": {
+                e: [round(float(q) * 1e3, 2) for q in np.percentile(w, [25, 75])]
+                for e, w in walls.items()
+            },
             "wall_speedup_vs_inline": round(speedup, 2),
-            "gemm_busy_ms": round(threaded.busy_s * 1e3, 2),
-            "critical_path_ms": round(threaded.critical_path_s() * 1e3, 2),
-            "modeled_headroom": round(
-                threaded.busy_s / threaded.critical_path_s(), 2
-            ) if threaded.critical_path_s() else 1.0,
-            "parallel_efficiency": round(threaded.parallel_efficiency(), 2),
+            "modeled_headroom": round(threaded.busy_s / critical, 2) if critical else 1.0,
+            **host,
         }
         print(
-            f"parall x{blocks} {label:<17s} inline {inline.wall_time_s * 1e3:8.2f}ms"
-            f"  threaded {threaded.wall_time_s * 1e3:8.2f}ms  "
-            f"{speedup:5.2f}x measured  "
-            f"(headroom {rows[label]['modeled_headroom']:.2f}x, "
-            f"efficiency {rows[label]['parallel_efficiency']:.2f})"
+            f"parall x{blocks} {label:<17s} inline {med['inline'] * 1e3:8.2f}ms"
+            f"  threaded {med['threaded'] * 1e3:8.2f}ms  "
+            f"{speedup:5.2f}x measured (median of {rounds}, "
+            f"cpu_count {host['cpu_count']}, blas_threads {host['blas_threads']})"
         )
     return {
         "model": f"bert encoder x{blocks} (768/3072)",
         "requests": n_req,
         "rows_per_request": req_rows,
+        "rounds": rounds,
         "placements": rows,
     }
 
 
-def _process_parallel_case(blocks: int, n_req: int, g: int, sparsity: float,
-                           dtype: str) -> dict:
-    """Unpaced inline-vs-process wall-time on a replicated 2-slot placement.
-
-    Unlike the paced rows above, nothing sleeps here: the speedup is real
-    multi-core NumPy compute overlapping across worker processes, so the
-    number is host-dependent (1 on a single-core box, by construction).
-    The warm-up serve spawns the pool, publishes the arenas and builds
-    every plan, so the timed window measures steady-state serving only.
-    """
-    import repro
-    from repro.api import demo_layer_stack
-    from repro.gpu.device import V100
-    from repro.runtime.placement import Placement
-    from repro.runtime.server import ServerConfig, ServerStats
-
-    req_rows = 16
-    weights, names = demo_layer_stack("bert", blocks=blocks, seed=8, dtype=np.float32)
-    placement = Placement("replicated", (V100, V100))
-    model = repro.compile(
-        weights, pattern="tw", sparsity=sparsity, granularity=g,
-        dtype=np.dtype(dtype), names=names, placement=placement,
-    )
-    rng = np.random.default_rng(9)
-    reqs = [
-        rng.standard_normal((req_rows, weights[0].shape[0])).astype(dtype)
-        for _ in range(n_req)
-    ]
-    walls = {}
-    reference_out = None
-    for executor in ("inline", "process"):
-        server = model.serve(ServerConfig(
-            granularity=g, dtype=dtype, placement=placement,
-            max_wave_rows=2 * req_rows, executor=executor, pace=0.0,
-        ))
-        try:
-            # warm(): formats + plans built, and for the process pool a
-            # blocking handshake with every worker, so interpreter boot
-            # (~hundreds of ms per worker) never lands in the timed run.
-            # The serves then place the arenas and fault the shm pages in.
-            server.warm()
-            for _ in placement.devices:
-                server.serve(reqs[0])
-            server.stats = ServerStats()  # timed run starts from zero
-            for r in reqs:
-                server.submit(r)
-            served = server.flush()
-            out = served[0].output
-            if reference_out is None:
-                reference_out = out
-            else:
-                assert np.array_equal(out, reference_out), executor
-            walls[executor] = server.stats.wall_time_s
-        finally:
-            server.close()
-    speedup = walls["inline"] / walls["process"]
-    print(
-        f"procex x{blocks} replicated_x2     inline {walls['inline'] * 1e3:8.2f}ms"
-        f"  process {walls['process'] * 1e3:8.2f}ms  {speedup:5.2f}x unpaced"
-    )
-    return {
-        "model": f"bert encoder x{blocks} (768/3072)",
-        "requests": n_req,
-        "rows_per_request": req_rows,
-        "placement": "replicated_x2",
-        "inline_wall_ms": round(walls["inline"] * 1e3, 2),
-        "process_wall_ms": round(walls["process"] * 1e3, 2),
-        "wall_speedup_vs_inline": round(speedup, 2),
-    }
-
-
 def bench_parallel_server(quick: bool) -> dict:
-    import os
-
-    g, sparsity, dtype, pace = 64, 0.75, "float32", 150.0
+    g, sparsity, dtype, rounds = 64, 0.75, "float32", 15
     # the small case runs in BOTH sweeps (same matching rule as
     # server_sharded) so the bench_gate quick run still gates it
     cases = [(1, 8)] if quick else [(1, 8), (2, 8)]
     configs = [
-        _parallel_case(blocks, n_req, g, sparsity, dtype, pace)
-        for blocks, n_req in cases
-    ]
-    process_configs = [
-        _process_parallel_case(blocks, n_req, g, sparsity, dtype)
+        _parallel_case(blocks, n_req, g, sparsity, dtype, rounds)
         for blocks, n_req in cases
     ]
     return {
         "granularity": g,
         "sparsity": sparsity,
         "dtype": dtype,
-        "pace": pace,
         "note": (
-            "wall-times are paced: every GEMM occupies its device slot for "
-            "pace x the cost model's predicted device time, so the measured "
-            "speedup reflects simulated-device overlap on any host; outputs "
-            "are asserted bit-identical between executors"
+            "unpaced: median flush wall of warm servers over alternating "
+            "rounds; inline already runs each GEMM on every BLAS thread, so "
+            "threaded gains only from overlapping non-BLAS work; outputs are "
+            "asserted bit-identical between executors"
         ),
         "configs": configs,
         "headline_wall_speedup": max(
@@ -654,21 +598,6 @@ def bench_parallel_server(quick: bool) -> dict:
             for c in configs
             for p in c["placements"].values()
         ),
-        "process": {
-            "pace": 0.0,
-            "cpu_count": os.cpu_count(),
-            "blas_threads_per_worker": 1,
-            "note": (
-                "unpaced: real multi-core compute speedup of the process "
-                "executor (shared-memory weight arenas, BLAS pinned per "
-                "worker) vs inline; the >=1.5x goal requires 2+ physical "
-                "cores — on a 1-core host the expected value is <=1"
-            ),
-            "configs": process_configs,
-            "headline_wall_speedup": max(
-                c["wall_speedup_vs_inline"] for c in process_configs
-            ),
-        },
     }
 
 

@@ -435,7 +435,6 @@ class CompiledTWModel:
         executor: str | None = None,
         workers: int | None = None,
         cache_budget: int | None = None,
-        pace: float | None = None,
         max_retries: int | None = None,
         max_queue_rows: int | None = None,
         shed_policy: str | None = None,
@@ -452,18 +451,14 @@ class CompiledTWModel:
         The keyword arguments override the corresponding
         :class:`ServerConfig` fields (with or without an explicit
         ``config``): ``executor="threaded"`` overlaps the placement's
-        device slots in wall-time and ``executor="process"`` runs them as
-        worker *processes* over shared-memory weight arenas (ISSUE 7) —
-        outputs stay bit-identical to ``inline`` either way —
-        ``cache_budget`` bounds the format/plan caches (LRU),
-        ``pace`` turns on simulated-device pacing, and the
-        robustness knobs (``max_retries``, ``max_queue_rows``,
+        device slots in wall-time — outputs stay bit-identical to
+        ``inline`` — ``cache_budget`` bounds the format/plan caches (LRU),
+        and the robustness knobs (``max_retries``, ``max_queue_rows``,
         ``shed_policy``, ``watchdog_s``, ``faults``) configure the
         fault-tolerant serving path (ISSUE 6): wave retry with poison
         isolation, queue backpressure, stall watchdog and deterministic
         fault injection.  Call ``server.close()`` (or use the server as a
-        context manager) when done — with a process executor that is what
-        shuts the worker pool down and unlinks the arenas.
+        context manager) when done.
         """
         self._require_weights("serve")
         if any(l.tw is None for l in self.layers):
@@ -487,7 +482,6 @@ class CompiledTWModel:
                 ("executor", executor),
                 ("workers", workers),
                 ("cache_budget", cache_budget),
-                ("pace", pace),
                 ("max_retries", max_retries),
                 ("max_queue_rows", max_queue_rows),
                 ("shed_policy", shed_policy),

@@ -39,6 +39,7 @@ from repro.core.schedule import available_schedules
 from repro.kernels.fusion import EPILOGUES
 from repro.patterns.registry import available_engines, available_patterns
 from repro.runtime.executor import available_executors
+from repro.runtime.faults import available_faults
 
 __all__ = ["main", "build_parser"]
 
@@ -147,13 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--placement", default="single", choices=_PLACEMENTS)
     p_serve.add_argument("--executor", default="inline",
                          choices=available_executors(),
-                         help="wave executor: inline (sequential oracle), "
-                              "threaded (worker threads overlap device "
-                              "slots) or process (worker processes over "
-                              "shared-memory weight arenas — real "
-                              "multi-core parallelism)")
+                         help="wave executor: inline (sequential oracle) "
+                              "or threaded (worker threads overlap device "
+                              "slots)")
     p_serve.add_argument("--workers", type=int, default=None,
-                         help="worker cap for --executor threaded/process "
+                         help="worker cap for --executor threaded "
                               "(default: one per device slot)")
     p_serve.add_argument("--cache-budget", type=int, default=0,
                          help="LRU entry budget for the format/plan caches "
@@ -172,19 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["reject", "shed_oldest"],
                          help="what to do when --max-queue-rows is hit")
     p_serve.add_argument("--watchdog-s", type=float, default=None,
-                         help="per-wave stall bound for the threaded/process "
-                              "executors (default: executor's own, 60s)")
+                         help="per-wave stall bound for the threaded "
+                              "executor (default: executor's own, 60s)")
     p_serve.add_argument("--faults", default=None,
                          help="deterministic fault schedule, e.g. "
                               "'exception:wave=1;latency:rate=0.1:duration=0.01' "
-                              "(kinds: exception, latency, stall, kill)")
+                              f"(kinds: {', '.join(available_faults())})")
     p_serve.add_argument("--expect-all-ok", action="store_true",
                          help="exit non-zero unless every request ends "
                               "status=ok (CI smoke contract)")
-    p_serve.add_argument("--pace", type=float, default=0.0,
-                         help="simulated-device pacing scale: each GEMM "
-                              "occupies its slot for pace x the cost-model "
-                              "device time (0 = run flat out)")
     p_serve.add_argument("--scale", type=int, default=8,
                          help="shrink model dims by this factor (demo sizing)")
     p_serve.add_argument("--blocks", type=int, default=2,
@@ -463,9 +458,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.pace < 0:
-        print("error: --pace must be >= 0", file=sys.stderr)
-        return 2
     if args.max_retries < 0:
         print("error: --max-retries must be >= 0", file=sys.stderr)
         return 2
@@ -519,7 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = model.serve(
             executor=args.executor, workers=args.workers,
             cache_budget=args.cache_budget or None,
-            pace=args.pace if args.pace > 0 else None,
             max_retries=args.max_retries,
             max_queue_rows=args.max_queue_rows,
             shed_policy=args.shed_policy,
@@ -548,7 +539,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 rejected += 1
         served = server.flush()
     finally:
-        # deterministic teardown: worker pool down, arenas unlinked
+        # deterministic teardown: executor closed, caches dropped
         server.close()
     st = server.stats
     by_status: dict[str, int] = {}
@@ -648,7 +639,7 @@ def _serve_http(args, model, placement, server) -> int:
         net.run()
     finally:
         # the loop does not own this server (the CLI built it); close for
-        # deterministic teardown — worker pool down, arenas unlinked
+        # deterministic teardown — executor closed, caches dropped
         server.close()
     record = net.final_stats or {}
     st = record.get("latency_ms", {})
@@ -713,7 +704,7 @@ def _serve_continuous(args, model, placement, server, weights) -> int:
         return result, record
 
     try:
-        server.warm()  # executor workers + caches up before timed traffic
+        server.warm()  # formats + plans built before timed traffic
         result, record = asyncio.run(run())
     finally:
         server.close()

@@ -40,10 +40,9 @@ column skips the zero-fill and the scatter entirely.
 
 The operand is memoised on the weight (keyed by the sorted tile ids and
 the compute dtype), which is what lets a serving loop replay a cached
-:class:`~repro.runtime.scheduler.ExecutionPlan` and pay only the GEMM; the
-``process`` executor's workers receive it pre-built through shared memory
-(:mod:`repro.runtime.arena`).  The plan stays the cost model's artifact:
-its width groups are what :mod:`repro.gpu.tw_kernel` prices.
+:class:`~repro.runtime.scheduler.ExecutionPlan` and pay only the GEMM.
+The plan stays the cost model's artifact: its width groups are what
+:mod:`repro.gpu.tw_kernel` prices.
 
 Mixed precision
 ---------------

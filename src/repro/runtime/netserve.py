@@ -166,7 +166,7 @@ class NetServer:
 
         The socket opens *before* the (potentially slow) ``warm()`` so
         orchestrators can poll ``/healthz`` — it answers 503 until the
-        formats, plans, and executor workers are fully up, then 200.
+        formats and plans are built, then 200.
         """
         if self._listener is not None:
             raise RuntimeError("NetServer already started")

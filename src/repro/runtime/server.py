@@ -24,19 +24,15 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   waves across full-model replicas, ``layer_sharded`` splits the layer
   stack so each wave flows shard to shard.  The plan cache is already
   device-keyed, so sharding composes with it rather than replacing it.
-- **Pluggable execution** (ISSUE 4, extended ISSUE 7): the placement
-  emits a device→work mapping
-  (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
+- **Pluggable execution**: the placement emits a device→work
+  mapping (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
-  oracle), ``threaded`` (one worker thread per device slot, bounded wave
-  pipeline) or ``process`` (one worker *process* per slot, weights
-  published to shared-memory arenas at cache-fill time so only small
-  wave descriptors cross the pickle boundary) — decides how those
-  device-tagged work items overlap in wall-time.  Outputs are
-  bit-identical across executors; only wall-time and the measured
-  occupancy stats change.  Caches (and the arenas hanging off them) are
-  bounded by ``ServerConfig(cache_budget=...)`` and torn down
-  deterministically by :meth:`TWModelServer.close`.
+  oracle) or ``threaded`` (one worker thread per device slot, bounded
+  wave pipeline) — decides how those device-tagged work items overlap in
+  wall-time.  Outputs are bit-identical across executors; only wall-time
+  and the measured occupancy stats change.  Caches are bounded by
+  ``ServerConfig(cache_budget=...)`` and torn down by
+  :meth:`TWModelServer.close`.
 - **Stats**: per-request latency, per-flush batch sizes, rows/s and
   requests/s throughput, per-device busy time/GEMM counts, measured flush
   wall-time (``wall_time_s`` / ``parallel_efficiency()``), and
@@ -71,10 +67,8 @@ import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import DeviceSpec, V100
-from repro.runtime import arena as _arena
 from repro.runtime.executor import (
     EXECUTORS,
-    Executor,
     WaveStep,
     WaveTask,
     resolve_executor,
@@ -105,7 +99,7 @@ class _LRUCache:
     :meth:`get` and writes refresh recency; when a write pushes the cache
     past its budget the least-recently-used entries are popped and handed
     to ``on_evict(key, value)`` — the server uses that hook to count
-    evictions and release shared-memory arenas tied to evicted formats.
+    evictions.
     """
 
     def __init__(self, budget: int = 0, on_evict=None) -> None:
@@ -236,31 +230,19 @@ class ServerConfig:
     executor:
         How placed waves execute in wall-time — an
         :data:`~repro.runtime.executor.EXECUTORS` registry name
-        (``inline``/``threaded``/``process``).  ``inline`` is the
-        sequential oracle; ``threaded`` runs one worker thread per device
-        slot so replicated waves and layer-sharded pipeline stages overlap
-        wherever the GIL allows; ``process`` (ISSUE 7) runs one worker
-        *process* per slot with weights served from shared-memory arenas,
-        escaping the GIL entirely for real multi-core speedup.  Outputs
-        are bit-identical in every case.
+        (``inline``/``threaded``).  ``inline`` is the sequential oracle;
+        ``threaded`` runs one worker thread per device slot so replicated
+        waves and layer-sharded pipeline stages overlap wherever the GIL
+        allows.  Outputs are bit-identical in every case.
     cache_budget:
         Entry budget shared by the format cache and the plan cache
         (``0`` = unbounded, the historical behaviour).  When a cache
         outgrows the budget its least-recently-used entries are evicted
-        (``stats.format_evictions``/``plan_evictions`` count them), and an
-        evicted format's shared-memory arena is released with it — with
-        ``process`` executors an unbounded cache is an unbounded
-        ``/dev/shm`` hazard, which is why this landed alongside them.
+        (``stats.format_evictions``/``plan_evictions`` count them).
     workers:
         Worker-thread cap for ``threaded`` (``None`` = one per device
         slot).  Passing it with an executor that has no workers
         (``inline``) is an error, not a silent no-op.
-    pace:
-        Simulated-device pacing scale.  ``0`` (default) runs flat out;
-        ``> 0`` makes every GEMM occupy its device slot for at least
-        ``pace ×`` the cost model's predicted device time, so the
-        *measured* ``wall_time_s`` reflects the placement's overlap on any
-        host (sleeps release the GIL and overlap across slots).
     max_retries:
         Re-execution budget per failed wave group in a graceful
         ``flush()`` (``0`` = no retries, failures go straight to
@@ -302,7 +284,6 @@ class ServerConfig:
     executor: str = "inline"
     cache_budget: int = 0
     workers: int | None = None
-    pace: float = 0.0
     max_retries: int = 2
     retry_backoff_s: float = 0.0
     max_queue_rows: int = 0
@@ -355,10 +336,6 @@ class ServerConfig:
         ):
             raise ValueError(
                 f"workers must be a positive int or None, got {self.workers!r}"
-            )
-        if not np.isfinite(self.pace) or self.pace < 0:
-            raise ValueError(
-                f"pace must be finite and non-negative, got {self.pace!r}"
             )
         if not isinstance(self.max_retries, int) or self.max_retries < 0:
             raise ValueError(
@@ -673,19 +650,6 @@ class TWModelServer:
             workers=self.config.workers,
             watchdog_s=self.config.watchdog_s,
         )
-        if (
-            getattr(self.executor, "needs_arenas", False)
-            and not isinstance(self.config.executor, Executor)
-            and self.executor.workers is None
-        ):
-            # ISSUE 7 default: one worker process per device slot.  A
-            # bounded pool is what lets ``run`` spawn every worker up
-            # front and ``warm()`` handshake them, instead of discovering
-            # pool size lazily and paying a worker's interpreter boot
-            # (~hundreds of ms) inside the first multi-wave flush.  A
-            # ready instance passed by the caller is left exactly as
-            # configured.
-            self.executor.workers = len(self.placement.devices)
         self.stats = ServerStats()
         self._layers: list[_Layer] = []
         self._formats: _LRUCache = _LRUCache(
@@ -694,16 +658,7 @@ class TWModelServer:
         self._plans: _LRUCache = _LRUCache(
             self.config.cache_budget, self._evict_plan
         )
-        #: arenas this server *owns* (placed, to be released): format key →
-        #: :class:`~repro.runtime.arena.ArenaRef`; populated lazily by
-        #: ``_wave_task`` only when the executor declares ``needs_arenas``
-        self._arenas: dict[tuple, _arena.ArenaRef] = {}
-        #: arena keys evicted from the format cache whose release is
-        #: deferred to the next quiescent point (flush boundary / close)
-        self._retired_arenas: list[tuple] = []
-        self._needs_arenas = bool(getattr(self.executor, "needs_arenas", False))
         self._closed = False
-        self._dwell: dict[tuple, float] = {}
         self._pending: deque[_Pending] = deque()
         self._queued_rows = 0
         #: requests shed at submit time (``shed_oldest``), surfaced by the
@@ -761,18 +716,12 @@ class TWModelServer:
         return self.placement.shard_labels(self.n_layers)
 
     def warm(self) -> None:
-        """Prebuild every layer's format and plans (optional cold-start hide).
-
-        Also brings the executor's workers fully up (a blocking handshake
-        for the ``process`` pool, a no-op otherwise), so the first real
-        flush never pays worker-interpreter boot time.
-        """
+        """Prebuild every layer's format and plans (optional cold-start hide)."""
         plan_devices = self.placement.plan_devices(self.n_layers)
         for layer, devices in zip(self._layers, plan_devices):
             tw = self._format_for(layer)
             for device in devices:
                 self._plan_for(layer, tw, device)
-        self.executor.warm()
 
     def preload(
         self,
@@ -805,21 +754,7 @@ class TWModelServer:
     # caches
     # ------------------------------------------------------------------ #
     def _evict_format(self, key: tuple, tw: TiledTWMatrix) -> None:
-        """LRU hook: count the eviction and *retire* the format's arena.
-
-        The release is deferred to the next ``flush()`` boundary (or
-        ``close()``) rather than done here: eviction can happen while a
-        wave that references this arena is still being assembled or
-        executed (a budget smaller than the layer count evicts within a
-        single wave), and a worker must never attend an already-unlinked
-        segment.  The arena layer refcounts by key, so a format that is
-        re-missed and re-placed before the deferred release lands simply
-        bumps the same segment's count — retire/re-place pairs always
-        balance and ``close()`` settles the remainder.
-        """
         self.stats.format_evictions += 1
-        if self._arenas.pop(key, None) is not None:
-            self._retired_arenas.append(key)
 
     def _evict_plan(self, key: tuple, plan: ExecutionPlan) -> None:
         self.stats.plan_evictions += 1
@@ -995,7 +930,6 @@ class TWModelServer:
         accounting, the failed wave's requests are dropped, and the
         unconsumed tail stays queued for a later flush.
         """
-        self._release_retired_arenas()  # quiescent point: no waves in flight
         served: list[ServedRequest] = list(self._shed_buffer)
         self._shed_buffer.clear()
         if not self._pending:
@@ -1305,31 +1239,17 @@ class TWModelServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Tear the server down deterministically (idempotent).
+        """Tear the server down (idempotent).
 
-        Shuts the executor's worker pool down (process workers get a
-        sentinel, a join, and escalation if they ignore it) and releases
-        every shared-memory arena this server placed — after ``close()``
-        returns, no ``/dev/shm`` segment owned by this server remains
-        linked, even if a worker crashed mid-wave (the arena layer's
-        owner-side refcounts don't depend on worker exits).  Serving after
-        ``close()`` simply re-misses the caches: formats recompact, and a
-        process executor would need a fresh instance.
+        Closes the executor and drops the format and plan caches.  Serving
+        after ``close()`` simply re-misses the caches: formats recompact.
         """
         if self._closed:
             return
         self._closed = True
         self.executor.close()
-        self._release_retired_arenas()
-        for key in list(self._arenas):
-            self._arenas.pop(key, None)
-            _arena.release(key)
         self._formats.clear()
         self._plans.clear()
-
-    def _release_retired_arenas(self) -> None:
-        while self._retired_arenas:
-            _arena.release(self._retired_arenas.pop())
 
     def __enter__(self) -> "TWModelServer":
         return self
@@ -1346,30 +1266,13 @@ class TWModelServer:
         steps = []
         for li, (layer, slot) in enumerate(zip(self._layers, slots)):
             tw = self._format_for(layer)
-            device = self.placement.devices[slot]
-            plan = self._plan_for(layer, tw, device)
-            ref = None
-            if self._needs_arenas:
-                # place-at-cache-fill: the first wave that touches a format
-                # under a process executor publishes it (tiles + the layer's
-                # GEMM operand) to shared memory; every later wave reuses
-                # the same segment and ships only this small ref.  Every
-                # device's plan runs the same tiles, so one operand serves
-                # every device slot.
-                key = self._format_key(layer)
-                ref = self._arenas.get(key)
-                if ref is None:
-                    ref = _arena.place(key, tw, plans=(plan,), act_dtype=dtype)
-                    self._arenas[key] = ref
             steps.append(
                 WaveStep(
                     layer=li,
                     tw=tw,
-                    plan=plan,
+                    plan=self._plan_for(layer, tw, self.placement.devices[slot]),
                     slot=slot,
                     label=labels[slot],
-                    dwell_s=self._dwell_for(layer, tw, device, batch.shape[0]),
-                    arena=ref,
                     epilogue=layer.epilogue,
                 )
             )
@@ -1381,23 +1284,3 @@ class TWModelServer:
         )
         self._batch_id += 1
         return task
-
-    def _dwell_for(
-        self, layer: _Layer, tw: TiledTWMatrix, device: DeviceSpec, m: int
-    ) -> float:
-        """Paced slot occupancy for one GEMM (0.0 when pacing is off).
-
-        ``pace ×`` the cost model's predicted device time for this layer's
-        TW GEMM at ``m`` activation rows, memoised per (layer, device, m)
-        so the cost model prices each configuration once.
-        """
-        if self.config.pace <= 0.0:
-            return 0.0
-        key = (self._format_key(layer), device, m)
-        hit = self._dwell.get(key)
-        if hit is None:
-            from repro.gpu.tw_kernel import tw_gemm_cost
-
-            hit = tw_gemm_cost(m, tw, device).total_us * 1e-6 * self.config.pace
-            self._dwell[key] = hit
-        return hit

@@ -273,7 +273,7 @@ class TestPlacement:
         # knobs also override an explicit config
         cfg = ServerConfig(granularity=8, dtype=str(model.dtype),
                            placement=model.placement)
-        server2 = model.serve(cfg, executor="threaded", pace=0.0)
+        server2 = model.serve(cfg, executor="threaded")
         assert server2.config.executor == "threaded"
         assert server2.config.granularity == 8
 

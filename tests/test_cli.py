@@ -238,10 +238,6 @@ class TestServe:
         ])
         assert rc == 2
 
-    def test_bad_pace_rejected(self, capsys):
-        rc = main(["serve", "bert", "--pace", "-1"])
-        assert rc == 2
-
     def test_single_with_many_devices_rejected(self, capsys):
         rc = main([
             "serve", "bert", "--devices", "2", "--placement", "single",
@@ -272,7 +268,7 @@ class TestInfo:
         assert "tw" in record["registries"]["patterns"]
         assert record["registries"]["engines"] == ["cuda_core", "tensor_core"]
         assert "layer_sharded" in record["registries"]["placements"]
-        assert record["registries"]["executors"] == ["inline", "process", "threaded"]
+        assert record["registries"]["executors"] == ["inline", "threaded"]
         assert record["registries"]["schedules"] == ["gradual", "oneshot"]
         assert record["registries"]["importance"] == ["magnitude", "taylor"]
         assert "tw_masked_load_stall" in record["calibration"]

@@ -94,7 +94,7 @@ class TestCacheBudget:
         assert server.stats.format_evictions == 0
         assert server.stats.format_hits == 3
 
-    @pytest.mark.parametrize("executor", ["inline", "threaded", "process"])
+    @pytest.mark.parametrize("executor", ["inline", "threaded"])
     def test_tiny_budget_serving_stays_bit_identical(self, executor):
         rng = np.random.default_rng(43)
         layers = [_pruned_layer(rng, 24, 24) for _ in range(3)]
@@ -227,16 +227,13 @@ class TestServing:
 
     def test_config_executor_validated(self):
         assert ServerConfig(executor="threads").executor == "threaded"  # alias
-        with pytest.raises(KeyError):
-            ServerConfig(executor="gpu")
+        for unknown in ("gpu", "process", "mp"):
+            with pytest.raises(KeyError, match="unknown executor"):
+                ServerConfig(executor=unknown)
         with pytest.raises(TypeError):
             ServerConfig(executor=42)
         with pytest.raises(ValueError):
             ServerConfig(workers=0)
-        with pytest.raises(ValueError):
-            ServerConfig(pace=-1.0)
-        with pytest.raises(ValueError):
-            ServerConfig(pace=float("nan"))
 
     def test_wall_time_and_parallel_efficiency_tracked(self):
         rng = np.random.default_rng(30)
@@ -248,17 +245,6 @@ class TestServing:
         assert 0 < st.parallel_efficiency() <= 1.5  # inline ~= serial
         assert ServerStats().parallel_efficiency() == 0.0
         assert ServerStats().measured_speedup() == 0.0
-
-    def test_paced_serving_floors_busy_time(self):
-        rng = np.random.default_rng(31)
-        server = _server(rng, n_layers=1, pace=200.0)
-        server.serve(rng.standard_normal((2, 24)))
-        # dwell = pace x modeled us; even a tiny layer models >= ~10us, so
-        # paced busy time must clear an unpaced run by orders of magnitude
-        assert server.stats.busy_s >= 200.0 * 10e-6
-        unpaced = _server(np.random.default_rng(31), n_layers=1)
-        out = unpaced.serve(rng.standard_normal((2, 24)))
-        assert out is not None  # pace=0 default stays the fast path
 
     def test_max_batch_rows_alias(self):
         assert ServerConfig(max_wave_rows=17).max_batch_rows == 17
