@@ -269,6 +269,8 @@ def test_topk_property(k, n, sparsity, seed):
     rng = np.random.default_rng(seed)
     s = rng.random((k, n))
     m = topk_keep_mask(s, sparsity)
-    assert int(m.sum()) == round((1 - sparsity) * k * n)
+    # the documented count, round((1 - sparsity) * size); grouping k * n first
+    # matters, since ((1 - s) * k) * n can round to the other side of .5
+    assert int(m.sum()) == round((1 - sparsity) * (k * n))
     if 0 < m.sum() < m.size:
         assert s[m].min() >= s[~m].max() - 1e-12  # kept scores dominate
