@@ -24,6 +24,11 @@ future PR has a perf trajectory to regress against:
   one-kernel-per-tile ``tw_gemm_reference`` oracle on BERT-base FFN
   geometry (768×3072), at serving batch sizes and dtypes.  The fast
   path replays the layer's memoised operand, as a serving loop does.
+- **tw_chain** — every layer of one BERT-base block at float32, M=128, on
+  the activations the chain hands it: dense GEMM vs the TW GEMM over the
+  full ``K`` (``padded_ms``) vs over the ``live_k`` input features the
+  previous layer can write (``restricted_ms``, what ``run()`` executes).
+  Rows record ``cpu_count`` and ``blas_threads``.
 - **mixed_precision** — the TW GEMM at BERT-base FFN serving shapes under
   ``float32`` / ``float16`` / ``int8`` storage: measured host wall-clock
   (honest: host BLAS has no reduced-precision kernels, so dtypes tie),
@@ -313,6 +318,85 @@ def bench_tw_gemm(quick: bool) -> dict:
         "scale": f"{BERT_K}x{BERT_N}",
         "configs": rows,
         "headline_speedup": max(r["speedup"] for r in rows),
+    }
+
+
+def bench_tw_chain(quick: bool) -> dict:
+    """Per-layer TW GEMM of one BERT-base block vs dense, padded vs restricted.
+
+    Each layer runs on the activations the chain actually hands it (the
+    previous layer's ``run()`` output, Fortran-ordered from feature-major
+    float32 GEMMs).  ``padded_ms`` is ``tw_gemm`` over the full ``K``
+    (``rows=None``); ``restricted_ms`` reduces over the ``live_k`` input
+    features the previous layer can write (``live_rows``), as ``run()``
+    and the server do; ``dense_ms`` is ``host_gemm`` on the dense weight.
+    Rounds alternate the three and each cell is the median.
+    """
+    import repro
+    from repro.api import demo_layer_stack
+    from repro.kernels.masked import host_gemm, live_rows, tw_gemm
+
+    m, g, sparsity, dtype = 128, 64, 0.75, np.float32
+    rounds = 5 if quick else 40
+    weights, names = demo_layer_stack("bert", blocks=1, seed=10, dtype=dtype)
+    model = repro.compile(weights, pattern="tw", sparsity=sparsity, granularity=g,
+                          dtype=dtype, names=names)
+    a = np.random.default_rng(11).standard_normal((m, weights[0].shape[0])).astype(dtype)
+    host = _host_threads()
+    # a process's first second of multithreaded BLAS can run several times
+    # slower (2-core VM: 8 ms instead of 0.9 ms per 768x768 call), so keep
+    # the BLAS threads busy past it before timing anything
+    warm_until = time.perf_counter() + 1.5
+    while time.perf_counter() < warm_until:
+        host_gemm(a, weights[0])
+    layers, rows = {}, None
+    for w, l in zip(weights, model.layers):
+        runs = {
+            "dense_ms": lambda: host_gemm(a, w),
+            "padded_ms": lambda: tw_gemm(a, l.tw),
+            "restricted_ms": lambda: tw_gemm(a, l.tw, rows=rows),
+        }
+        for fn in runs.values():
+            fn()  # operands built once, as a serving loop would
+        times: dict[str, list[float]] = {key: [] for key in runs}
+        for r in range(rounds):
+            for key in runs if r % 2 == 0 else reversed(runs):
+                t0 = time.perf_counter()
+                runs[key]()
+                times[key].append((time.perf_counter() - t0) * 1e3)
+        med = {key: float(np.median(t)) for key, t in times.items()}
+        name = l.name.split(".")[-1]
+        layers[name] = {
+            **{key: round(v, 3) for key, v in med.items()},
+            "live_k": int(l.shape[0] if rows is None else rows.size),
+            "k": int(l.shape[0]),
+            "speedup_vs_dense": round(med["dense_ms"] / med["restricted_ms"], 2),
+        }
+        print(
+            f"chain  {name:<7s} K {layers[name]['live_k']:>4d}/{l.shape[0]:<4d} dense "
+            f"{med['dense_ms']:7.3f}ms  padded {med['padded_ms']:7.3f}ms  restricted "
+            f"{med['restricted_ms']:7.3f}ms  {layers[name]['speedup_vs_dense']:5.2f}x"
+        )
+        a = tw_gemm(a, l.tw, rows=rows)
+        rows = live_rows(l.tw, l.epilogue)
+    total = {
+        key: round(sum(row[key] for row in layers.values()), 3)
+        for key in ("dense_ms", "padded_ms", "restricted_ms")
+    }
+    return {
+        "model": "bert encoder x1 (768/3072)",
+        "m": m,
+        "granularity": g,
+        "sparsity": sparsity,
+        "dtype": np.dtype(dtype).name,
+        "rounds": rounds,
+        "layers": layers,
+        "total": {
+            **total,
+            "speedup_vs_dense": round(total["dense_ms"] / total["restricted_ms"], 2),
+            "padded_speedup_vs_dense": round(total["dense_ms"] / total["padded_ms"], 2),
+        },
+        **host,
     }
 
 
@@ -1136,6 +1220,7 @@ SECTIONS = {
     "formats": bench_formats,
     "end_to_end": bench_end_to_end,
     "tw_gemm": bench_tw_gemm,
+    "tw_chain": bench_tw_chain,
     "mixed_precision": bench_mixed_precision,
     "fusion": bench_fusion,
     "server": bench_server,

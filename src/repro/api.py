@@ -74,7 +74,7 @@ from repro.kernels.fusion import (
     apply_epilogue,
     resolve_epilogue_spec,
 )
-from repro.kernels.masked import host_gemm, tw_gemm
+from repro.kernels.masked import host_gemm, live_rows, tw_gemm
 from repro.kernels.spmm import csc_left_spmm
 from repro.models.registry import GemmShape
 from repro.patterns.registry import PATTERNS, make_pattern, resolve_engine
@@ -395,7 +395,10 @@ class CompiledTWModel:
         :class:`~repro.kernels.fusion.EpilogueSpec` applies its *fused*
         epilogue right after the GEMM (the layer's own input serves as the
         residual stream for residual epilogues) — bit-identical in float64
-        to the unfused ``*_reference`` composition.
+        to the unfused ``*_reference`` composition.  A TW layer after a TW
+        layer reduces only over the input features that layer can write
+        (:func:`~repro.kernels.masked.live_rows`), the same rows the
+        server's wave steps carry.
 
         Activations are cast once, at entry, to the model's activation
         dtype — the compiled ``dtype`` for float models, ``float32`` for
@@ -413,6 +416,7 @@ class CompiledTWModel:
                 f"input K={a.shape[1]} != model K={self.layers[0].shape[0]}"
             )
         n = self.n_layers
+        rows = None  # input features the previous layer can write
         for i, l in enumerate(self.layers):
             if i and l.shape[0] != self.layers[i - 1].shape[1]:
                 raise ValueError(
@@ -421,11 +425,12 @@ class CompiledTWModel:
                 )
             if l.tw is not None:
                 device = self.placement.device_for_layer(i, n)
-                y = tw_gemm(a, l.tw, plan=l.plans.get(device))
+                y = tw_gemm(a, l.tw, plan=l.plans.get(device), rows=rows)
             else:
                 # the GEMM helper tw_gemm uses: same BLAS orientation
                 y = host_gemm(a, l.masked_dense())
             a = apply_epilogue(y, l.epilogue, residual=a) if l.epilogue else y
+            rows = live_rows(l.tw, l.epilogue)
         return a
 
     def serve(

@@ -38,6 +38,10 @@ import numpy as np
 
 __all__ = ["TWTile", "TiledTWMatrix"]
 
+#: instance-``__dict__`` memos :mod:`repro.kernels.masked` derives from a
+#: weight's tiles (GEMM operands, live output columns)
+_DERIVED_MEMOS = ("_operands", "_live_columns")
+
 
 @dataclass(frozen=True)
 class TWTile:
@@ -116,6 +120,15 @@ class TiledTWMatrix:
 
     def __post_init__(self) -> None:
         self.validate()
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the tiles only, never the kernels' derived memos.
+
+        :mod:`repro.kernels.masked` parks GEMM operands and live columns in
+        the instance ``__dict__``; they are rebuilt on first use and would
+        otherwise ship with every pickle or deep copy.
+        """
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED_MEMOS}
 
     # ------------------------------------------------------------------ #
     # construction

@@ -61,6 +61,7 @@ __all__ = [
     "EpilogueSpec",
     "apply_epilogue",
     "resolve_epilogue_spec",
+    "zero_row_writes",
 ]
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -295,12 +296,20 @@ class EpilogueSpec:
 
 @dataclass(frozen=True)
 class Epilogue:
-    """A registry entry: the fused consumer and its unfused oracle."""
+    """A registry entry: the fused consumer and its unfused oracle.
+
+    ``elementwise`` marks an epilogue whose every output element depends
+    only on the same element of the GEMM output (and the spec's vectors at
+    that column) — so a column the GEMM leaves zero stays whatever the
+    epilogue makes of zero (:func:`zero_row_writes`).  Row reductions
+    (LayerNorm) and residual adds are not elementwise in that sense.
+    """
 
     name: str
     fused: Callable[..., np.ndarray]
     reference: Callable[..., np.ndarray]
     uses_residual: bool = False
+    elementwise: bool = False
 
 
 EPILOGUES = Registry("epilogue")
@@ -334,7 +343,9 @@ def _reference_dropout_residual_layernorm(y, spec, residual):
     )
 
 
-_BIAS_GELU = Epilogue("bias_gelu", _fused_bias_gelu, _reference_bias_gelu)
+_BIAS_GELU = Epilogue(
+    "bias_gelu", _fused_bias_gelu, _reference_bias_gelu, elementwise=True
+)
 _BIAS_LAYERNORM = Epilogue(
     "bias_layernorm", _fused_bias_layernorm, _reference_bias_layernorm
 )
@@ -416,3 +427,22 @@ def apply_epilogue(
         raise ValueError(f"epilogue {spec.name!r} needs the layer input as residual")
     fn = ep.reference if reference else ep.fused
     return fn(y, spec, residual)
+
+
+def zero_row_writes(spec: EpilogueSpec, n: int) -> np.ndarray:
+    """Columns where ``spec``'s fused epilogue maps an all-zero row to nonzero.
+
+    Evaluated once in float32 and float64 (the two accumulation dtypes;
+    float16 and int8 activations accumulate in float32) and memoised on
+    the spec, whose vectors are frozen with it.  Only meaningful for
+    :attr:`Epilogue.elementwise` epilogues: an empty result means a column
+    the GEMM leaves zero is still zero after the epilogue.
+    """
+    hit = spec.__dict__.get("_zero_row_writes")
+    if hit is None:
+        nonzero = np.zeros(n, dtype=bool)
+        for dtype in (np.float32, np.float64):
+            nonzero |= apply_epilogue(np.zeros((1, n), dtype=dtype), spec)[0] != 0
+        hit = np.flatnonzero(nonzero)
+        object.__setattr__(spec, "_zero_row_writes", hit)
+    return hit

@@ -29,6 +29,22 @@ masked rows (the NumPy analogue of ``Load_A_Tile_with_Mask``: masked-off
 rows are predicated to zero instead of skipped) and the columns sorted by
 output index.  One GEMM per layer, no per-tile ``A`` gather.
 
+Dead input rows
+~~~~~~~~~~~~~~~
+TW column pruning removes whole output neurons, so a TW layer writes exact
+zeros on every column no tile owns, and the next layer's matching ``K``
+rows only ever multiply zeros.  :func:`live_rows` names the input features
+of a layer that can be nonzero — the columns the previous TW layer writes,
+as long as nothing between the two layers can turn a zero into a nonzero
+(no epilogue, or an elementwise one whose output on a zero row is exactly
+zero on every dead column) — and ``tw_gemm(a, w, rows=...)`` runs over
+only those rows: it gathers ``a[:, rows]`` once and multiplies it by an
+operand built over just those rows.  This is the layer-level form of the
+paper's ``Load_A_Tile_with_Mask``: the rows pruning made useless are
+skipped instead of multiplied.  Callers derive ``rows`` statically per
+layer from the model, never from the activations or from how work is
+split, so every path through a layer stack runs the same reduction.
+
 A float32 GEMM (also the float16 and int8 paths, which compute in float32)
 is written feature-major from :data:`FEATURE_MAJOR_MIN_ROWS` activation
 rows on (``B.T @ A.T`` into an ``N × M`` buffer), so the
@@ -38,9 +54,11 @@ GEMM consumes without a copy.  Smaller batches and float64 run row-major
 (``A @ B``), which host BLAS runs faster there.  A layer that keeps every
 column skips the zero-fill and the scatter entirely.
 
-The operand is memoised on the weight (keyed by the sorted tile ids and
-the compute dtype), which is what lets a serving loop replay a cached
+The operand is memoised on the weight (keyed by the sorted tile ids, the
+compute dtype and, when restricted, the live rows), which is what lets a
+serving loop replay a cached
 :class:`~repro.runtime.scheduler.ExecutionPlan` and pay only the GEMM.
+The memo is derived state: pickling or copying a weight drops it.
 The plan stays the cost model's artifact: its width groups are what
 :mod:`repro.gpu.tw_kernel` prices.
 
@@ -74,12 +92,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
+from repro.kernels.fusion import EPILOGUES, EpilogueSpec, zero_row_writes
 
 __all__ = [
     "masked_gemm",
     "host_gemm",
     "tw_gemm",
     "tw_gemm_reference",
+    "live_columns",
+    "live_rows",
     "DTYPE_TOLERANCES",
     "FEATURE_MAJOR_MIN_ROWS",
 ]
@@ -192,7 +213,12 @@ def host_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
+def tw_gemm(
+    a: np.ndarray,
+    weight: TiledTWMatrix,
+    plan=None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
     """Compute ``A @ W`` for a TW-compacted weight matrix as one GEMM.
 
     Columns of the output that belong to no tile (pruned columns) are exact
@@ -210,6 +236,12 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
         :class:`~repro.runtime.scheduler.ExecutionPlan`; ``tile_ids``
         index into ``weight.tiles``.  Defaults to every tile.  Only the
         set of tiles matters: every plan of a layer shares one operand.
+    rows:
+        Optional strictly increasing indices of the input features that can
+        be nonzero (see :func:`live_rows`).  The GEMM then reduces over
+        ``a[:, rows]`` only; every other column of ``a`` must be zero, or
+        the result is not ``A @ W``.  ``None`` (or every row) runs the full
+        ``K``.
 
     Notes
     -----
@@ -232,10 +264,18 @@ def tw_gemm(a: np.ndarray, weight: TiledTWMatrix, plan=None) -> np.ndarray:
     out_dtype, compute_dtype = compute_dtypes(a.dtype, w_dtype)
     m = a.shape[0]
     tile_ids = tuple(range(len(weight.tiles))) if plan is None else plan_tile_ids(plan)
-    operand = layer_operand(weight, tile_ids, compute_dtype)
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-D integer index array")
+        rows = None if rows.size == k else rows.astype(np.int64, copy=False)
+    operand = layer_operand(weight, tile_ids, compute_dtype, rows)
     if operand is None:
         return np.zeros((m, n), dtype=out_dtype)
     panel, cols = operand
+    if rows is not None:
+        # Load_A_Tile_with_Mask for the whole layer: dead rows are skipped
+        a = a[:, rows]
     if a.dtype != compute_dtype:
         a = a.astype(compute_dtype)
     if cols.size == n:
@@ -280,23 +320,31 @@ def layer_operand(
     weight: TiledTWMatrix,
     tile_ids: tuple[int, ...],
     compute_dtype: np.dtype,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The one GEMM operand of these tiles, memoised on ``weight``.
 
     A ``K × Σ kept_n`` panel in ``compute_dtype``, built in one pass from
     the tiles' compact payloads (int8 slabs dequantised by their tile's
     scale), each slab zero-padded over its masked rows, with the columns
-    sorted by output index (returned alongside as ``cols``).  ``None``
-    when no tile has work.  Keyed by ``(tile_ids, compute_dtype)`` with
-    ``tile_ids`` sorted, so every plan of a layer shares one copy; the
-    frozen dataclass carries the memo in its instance ``__dict__``
-    (weights are frozen, so payloads never change under a live memo).
+    sorted by output index (returned alongside as ``cols``).  With
+    ``rows`` (sorted ``int64`` input-feature indices) the panel has one row per
+    entry of ``rows`` instead of ``K``: each tile's kept rows are remapped
+    into ``rows`` and the ones outside it dropped, so the full-depth panel
+    is never built.  ``None`` when no tile has work.  Keyed by
+    ``(tile_ids, compute_dtype)`` — plus the bytes of ``rows`` when
+    restricted — with ``tile_ids`` sorted, so every plan of a layer shares
+    one copy; the frozen dataclass carries the memo in its instance
+    ``__dict__`` (weights are frozen, so payloads never change under a
+    live memo).
     """
     cache = weight.__dict__.get("_operands")
     if cache is None:
         cache = {}
         object.__setattr__(weight, "_operands", cache)
     key = (tile_ids, compute_dtype.str)
+    if rows is not None:
+        key += (rows.tobytes(),)
     if key in cache:
         return cache[key]
     members = [weight.tiles[i] for i in tile_ids]
@@ -304,14 +352,28 @@ def layer_operand(
     if not members:
         cache[key] = None
         return None
-    panel = np.zeros((weight.shape[0], sum(t.kept_n for t in members)), dtype=compute_dtype)
+    k = weight.shape[0]
+    if rows is None:
+        depth, position = k, None
+    else:
+        if rows.size and (rows[0] < 0 or rows[-1] >= k or np.any(rows[1:] <= rows[:-1])):
+            raise ValueError(f"rows must be strictly increasing indices into K={k}")
+        # input feature -> its row of the restricted panel (-1: dead row)
+        depth, position = rows.size, np.full(k, -1, dtype=np.int64)
+        position[rows] = np.arange(rows.size)
+    panel = np.zeros((depth, sum(t.kept_n for t in members)), dtype=compute_dtype)
     offset = 0
     for t in members:
         slab = t.data
+        at = t.row_indices()
+        if position is not None:
+            at = position[at]
+            live = at >= 0
+            at, slab = at[live], slab[live]
         if slab.dtype.kind in "iu":
             slab = slab.astype(compute_dtype)
             slab *= np.asarray(t.scale, dtype=compute_dtype)
-        panel[t.row_indices(), offset : offset + t.kept_n] = slab
+        panel[at, offset : offset + t.kept_n] = slab
         offset += t.kept_n
     cols = np.concatenate([t.col_indices for t in members]).astype(np.int64, copy=False)
     if np.any(cols[1:] < cols[:-1]):
@@ -319,3 +381,54 @@ def layer_operand(
         panel, cols = panel[:, order], cols[order]
     cache[key] = (panel, cols)
     return cache[key]
+
+
+def live_columns(weight: TiledTWMatrix) -> np.ndarray:
+    """Sorted output columns ``weight`` can write, memoised on it.
+
+    The union of ``col_indices`` over the tiles with work (``kept_k`` and
+    ``kept_n`` both nonzero); every other output column of
+    :func:`tw_gemm` is an exact zero.
+    """
+    hit = weight.__dict__.get("_live_columns")
+    if hit is None:
+        owned = [t.col_indices for t in weight.tiles if t.kept_k and t.kept_n]
+        hit = np.sort(np.concatenate(owned or [np.zeros(0, dtype=np.int64)]))
+        object.__setattr__(weight, "_live_columns", hit)
+    return hit
+
+
+def live_rows(
+    prev_tw: TiledTWMatrix | None,
+    prev_epilogue: EpilogueSpec | None = None,
+) -> np.ndarray | None:
+    """Input features of the layer after ``prev_tw`` that can be nonzero.
+
+    The ``rows=`` argument of the next layer's :func:`tw_gemm`: the
+    columns ``prev_tw`` can write (:func:`live_columns`), provided nothing
+    between the layers turns a zero into a nonzero.  That holds with no
+    epilogue, and with an elementwise epilogue
+    (:attr:`~repro.kernels.fusion.Epilogue.elementwise`) whose fused
+    output on a zero row is exactly zero at every dead column — e.g.
+    ``bias_gelu`` with zero bias there, since ``gelu(0) == 0``.  Row-wise
+    epilogues (LayerNorm) spread every column into every other, so they
+    never propagate.
+
+    ``None`` — run the full ``K`` — for the first layer or after a non-TW
+    layer (``prev_tw is None``), after an epilogue that can write dead
+    columns, and when every column is live.  A pure function of the
+    model, never of the activations, so every caller derives the same
+    rows for a layer.
+    """
+    if prev_tw is None:
+        return None
+    cols = live_columns(prev_tw)
+    if cols.size == prev_tw.shape[1]:
+        return None
+    if prev_epilogue is not None:
+        if not EPILOGUES.create(prev_epilogue.name).elementwise:
+            return None
+        writes = zero_row_writes(prev_epilogue, prev_tw.shape[1])
+        if writes.size and not np.isin(writes, cols, assume_unique=True).all():
+            return None
+    return cols

@@ -35,10 +35,16 @@ Determinism contract
 --------------------
 Outputs are **bit-identical across executors**: each wave's layer chain is
 a fixed sequence of :func:`~repro.kernels.masked.tw_gemm` calls on the
-same operands and plans regardless of which thread runs them, and waves
-never share mutable state (the group-operand memos on frozen weights are
-value-deterministic, so racing builders write identical entries).  Only
-*wall-time* and the measured busy stats differ.
+same operands, plans and ``rows`` regardless of which thread runs them,
+and waves never share mutable state (the operand memos on frozen weights
+are value-deterministic, so racing builders write identical entries).
+Only *wall-time* and the measured busy stats differ.  ``rows`` — the
+input features a step's GEMM reduces over — is static per step: the
+server fixes it on each :class:`WaveStep` from the model when it builds
+the wave, and executors only pass it through.  It must never be derived
+from how a wave is split into per-worker segments: a segment that
+restarted the chain with ``rows=None`` would sum over a different ``K``
+than ``inline`` and change the output bits.
 
 Fault tolerance (ISSUE 6)
 -------------------------
@@ -105,6 +111,10 @@ class WaveStep:
     #: GEMM, inside the wave task (the step's input activations serve as
     #: the residual stream); its time counts in the slot's busy accounting
     epilogue: EpilogueSpec | None = None
+    #: the input features this step's GEMM reduces over
+    #: (:func:`~repro.kernels.masked.live_rows` of the previous layer;
+    #: ``None`` = all of ``K``), fixed when the wave is built
+    rows: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -171,7 +181,7 @@ def _execute_steps(
         t0 = time.perf_counter()
         if faults is not None:
             faults.before_step(wave_index, step.layer, step.slot)
-        y = tw_gemm(a, step.tw, plan=step.plan)
+        y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows)
         if step.epilogue is not None:
             y = apply_epilogue(y, step.epilogue, residual=a)
         a = y

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 from repro.gpu.device import DeviceSpec, V100
+from repro.kernels.masked import live_rows
 from repro.runtime.executor import (
     EXECUTORS,
     WaveStep,
@@ -1258,12 +1259,18 @@ class TWModelServer:
         self.close()
 
     def _wave_task(self, wave: list[_Pending]) -> WaveTask:
-        """Resolve one wave into device-tagged, plan-carrying work items."""
+        """Resolve one wave into device-tagged, plan-carrying work items.
+
+        Each step also carries the input features its GEMM reduces over
+        (:func:`~repro.kernels.masked.live_rows` of the layer before it),
+        fixed here so every executor and segment split runs the same math.
+        """
         dtype = np.dtype(self.config.dtype)
         batch = np.concatenate([p.x for p in wave], axis=0)
         slots = self.placement.wave_slots(self._batch_id, self.n_layers)
         labels = self.placement.device_labels()
         steps = []
+        prev_tw = prev_epilogue = None
         for li, (layer, slot) in enumerate(zip(self._layers, slots)):
             tw = self._format_for(layer)
             steps.append(
@@ -1274,8 +1281,10 @@ class TWModelServer:
                     slot=slot,
                     label=labels[slot],
                     epilogue=layer.epilogue,
+                    rows=live_rows(prev_tw, prev_epilogue),
                 )
             )
+            prev_tw, prev_epilogue = tw, layer.epilogue
         task = WaveTask(
             index=self._batch_id,
             batch=batch.astype(dtype, copy=False),

@@ -682,3 +682,54 @@ class TestExecutorInvariance:
         assert threaded_gemms == inline_gemms
         for got, want in zip(threaded_served, inline_served):
             np.testing.assert_array_equal(got.output, want.output)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_sharded_segments_keep_the_live_rows_of_a_bert_stack(self, blocks):
+        """Each step's ``rows`` is fixed when the wave is built, so a
+        ``layer_sharded`` wave whose second shard starts mid-chain reduces
+        over exactly the ``K`` the unsplit chain does.  Continuous float32
+        data: a shard that restarted with every row would sum in a
+        different order and change the bits.  One block puts the shard
+        boundary after ``attn-v``, whose dead columns the boundary step
+        must still skip; two blocks put it after ``ffn-2``."""
+        import repro
+        from repro.api import demo_layer_stack
+        from repro.gpu.device import V100
+        from repro.kernels.masked import live_rows
+        from repro.runtime.placement import Placement
+
+        weights, names = demo_layer_stack("bert", scale=1, blocks=blocks, seed=3,
+                                          dtype=np.float32)
+        placement = Placement("layer_sharded", (V100, V100))
+        model = repro.compile(weights, pattern="tw", sparsity=0.75, granularity=64,
+                              dtype=np.float32, names=names, placement=placement)
+        rng = np.random.default_rng(4)
+        reqs = [rng.standard_normal((m, weights[0].shape[0])).astype(np.float32)
+                for m in (16, 16, 5, 16)]
+        outs = {}
+        for executor in ("inline", "threaded"):
+            server = model.serve(ServerConfig(
+                granularity=64, dtype="float32", placement=placement,
+                executor=executor, max_wave_rows=16,
+            ))
+            try:
+                for r in reqs:
+                    server.submit(r)
+                if executor == "inline":
+                    steps = server._wave_task(list(server._pending)[:1]).steps
+                outs[executor] = [s.output for s in server.flush()]
+            finally:
+                server.close()
+        half = 3 * blocks
+        assert [s.slot for s in steps] == [0] * half + [1] * half
+        assert steps[0].rows is None
+        for prev, step in zip(steps, steps[1:]):
+            want = live_rows(prev.tw, prev.epilogue)
+            assert (step.rows is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(step.rows, want)
+        if blocks == 1:
+            assert steps[half].rows is not None
+        for got, want, x in zip(outs["threaded"], outs["inline"], reqs):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, model.run(x))

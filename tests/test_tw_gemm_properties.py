@@ -6,7 +6,9 @@ run feature-major (Fortran-ordered result), everything else row-major.
 These properties draw random shapes, column and row masks — every column
 kept, no column kept, depth-1 tiles — and batch sizes on both sides of the
 cut-off, and pin that the layout never shows: not in the values, not in
-the memo, not through the wire codec, not through an epilogue.
+the memo, not through the wire codec, not through an epilogue.  Chains of
+TW layers pin that skipping the input rows the previous layer cannot
+write (``live_rows``) changes nothing either.
 """
 
 import numpy as np
@@ -19,6 +21,8 @@ from repro.kernels.fusion import EPILOGUES, EpilogueSpec, apply_epilogue
 from repro.kernels.masked import (
     DTYPE_TOLERANCES,
     FEATURE_MAJOR_MIN_ROWS,
+    live_columns,
+    live_rows,
     tw_gemm,
     tw_gemm_reference,
 )
@@ -177,3 +181,155 @@ def test_epilogue_on_feature_major_output_matches_c_order_copy(name, reference, 
         np.ascontiguousarray(y), spec, residual=np.ascontiguousarray(a), reference=reference
     )
     np.testing.assert_array_equal(got, want)
+
+
+# --------------------------------------------------------------------- #
+# dead input rows: a TW layer after a TW layer reduces over live rows only
+# --------------------------------------------------------------------- #
+#: what sits between two TW layers of a chain
+BETWEEN = ("none", "gelu_zero_bias", "gelu_dead_bias", "layernorm")
+
+
+def _between_spec(kind, tw, rng, dtype):
+    """The epilogue ``kind`` on layer ``tw``, or ``None``.
+
+    ``gelu_dead_bias`` puts a nonzero bias on one dead column (when the
+    layer has one), so ``gelu(bias) != 0`` lands where the GEMM wrote 0.
+    """
+    n = tw.shape[1]
+    if kind == "none":
+        return None
+    if kind == "layernorm":
+        return EpilogueSpec(
+            name="bias_layernorm",
+            bias=rng.standard_normal(n).astype(dtype),
+            gamma=rng.standard_normal(n).astype(dtype),
+            beta=rng.standard_normal(n).astype(dtype),
+        )
+    bias = np.zeros(n, dtype=dtype)
+    bias[live_columns(tw)] = rng.standard_normal(live_columns(tw).size)
+    if kind == "gelu_dead_bias":
+        dead = np.setdiff1d(np.arange(n), live_columns(tw))
+        if dead.size:
+            bias[rng.choice(dead)] = 0.75
+    return EpilogueSpec(name="bias_gelu", bias=bias)
+
+
+chains = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.lists(st.integers(4, 40), min_size=3, max_size=5),  # K, N1, N2, ...
+    st.sampled_from([1, 2, 4, 8]),  # G
+    st.floats(0.2, 0.85),  # sparsity
+    st.sampled_from([1, 5, 11, 12, 64]),  # M, both sides of the cut-off
+    st.sampled_from(["float64", "float32"]),
+)
+
+
+@given(chains, st.lists(st.sampled_from(BETWEEN), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_run_over_live_rows_matches_the_unrestricted_chain(chain, between):
+    """``run()`` skips dead input rows; the full-``K`` chain agrees.
+
+    float64 runs on dyadic data, where every partial sum is exact, so any
+    reduction order gives the same bits — as long as no epilogue runs
+    before the last layer.  An epilogue's outputs are no longer dyadic;
+    after one, skipped rows may change the summation order, and the chain
+    agrees within rounding.
+    """
+    import dataclasses
+
+    import repro
+
+    seed, dims, g, sparsity, m, dtype = chain
+    rng = np.random.default_rng(seed)
+    between = between[: len(dims) - 1]
+    dyadic = dtype == "float64"
+    weights = [
+        (rng.integers(-8, 9, (k, n)) / 4.0 if dyadic else rng.standard_normal((k, n)))
+        for k, n in zip(dims, dims[1:])
+    ]
+    model = repro.compile(weights, pattern="tw", sparsity=sparsity, granularity=g,
+                          dtype=np.dtype(dtype))
+    specs = [_between_spec(kind, l.tw, rng, dtype) for kind, l in zip(between, model.layers)]
+    model.layers = [dataclasses.replace(l, epilogue=s) for l, s in zip(model.layers, specs)]
+    for l, kind in zip(model.layers, between):
+        rows = live_rows(l.tw, l.epilogue)
+        if kind == "layernorm" or (
+            kind == "gelu_dead_bias" and live_columns(l.tw).size < l.shape[1]
+        ):
+            assert rows is None
+        elif live_columns(l.tw).size < l.shape[1]:
+            np.testing.assert_array_equal(rows, live_columns(l.tw))
+
+    x = _activations(seed, m, dims[0], dtype, dyadic=dyadic)
+    want = x
+    for l in model.layers:  # every layer over its full K
+        y = tw_gemm(want, l.tw)
+        want = apply_epilogue(y, l.epilogue, residual=want) if l.epilogue else y
+    got = model.run(x)
+    assert got.dtype == want.dtype
+    exact = dyadic and all(l.epilogue is None for l in model.layers[:-1])
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        rtol = 1e-12 if dyadic else DTYPE_TOLERANCES["float32"]["rtol"]
+        atol = DTYPE_TOLERANCES[dtype]["atol"]
+        # rounding follows the row's scale, not the (possibly cancelled) element
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= atol + rtol * scale)
+
+
+def test_live_rows_only_for_a_tw_layer_with_dead_columns():
+    tw = _weight(8, 16, 24, 4, "random", "random", "float64")
+    cols = live_columns(tw)
+    assert 0 < cols.size < 24
+    np.testing.assert_array_equal(live_rows(tw), cols)
+    assert live_rows(None) is None  # first layer, or after a non-TW layer
+    every = _weight(8, 16, 24, 4, "all", "all", "float64")
+    assert live_rows(every) is None  # nothing to skip
+    assert live_columns(_weight(8, 16, 24, 4, "none", "all", "float64")).size == 0
+    # a residual epilogue is not elementwise: it never propagates
+    spec = EpilogueSpec(name="dropout_residual_layernorm",
+                        gamma=np.ones(24), beta=np.zeros(24))
+    assert live_rows(tw, spec) is None
+
+
+def test_restricted_operand_is_built_at_live_depth_only():
+    tw = _weight(9, 32, 40, 8, "random", "random", "float64", dyadic=True)
+    rows = np.array([1, 4, 5, 17, 30], dtype=np.int64)
+    a = np.zeros((7, 32))
+    a[:, rows] = _activations(9, 7, rows.size, "float64", dyadic=True)
+    got = tw_gemm(a, tw, rows=rows)
+    np.testing.assert_array_equal(got, tw_gemm_reference(a, tw))
+    (key,) = tw.__dict__["_operands"]  # no full-K panel was built
+    panel, _ = tw.__dict__["_operands"][key]
+    assert panel.shape[0] == rows.size
+    # every row, or no rows argument, is the unrestricted path
+    np.testing.assert_array_equal(tw_gemm(a, tw, rows=np.arange(32)), tw_gemm(a, tw))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tw_gemm(a, tw, rows=np.array([4, 1]))
+
+
+def test_pickle_and_deepcopy_drop_the_derived_memos():
+    """``run()`` memoises operands and live columns on its weights; a
+    pickle or deep copy ships the tiles only and rebuilds on first use."""
+    import copy
+    import pickle
+
+    import repro
+
+    rng = np.random.default_rng(10)
+    weights = [rng.standard_normal((48, 64)), rng.standard_normal((64, 40))]
+    model = repro.compile(weights, pattern="tw", sparsity=0.6, granularity=8,
+                          dtype=np.float32)
+    tw = model.layers[1].tw
+    before = len(pickle.dumps(tw))
+    x = _activations(10, 20, 48, "float32")
+    model.run(x)
+    assert {"_operands", "_live_columns"} <= set(model.layers[0].tw.__dict__)
+    assert "_operands" in tw.__dict__
+    assert len(pickle.dumps(tw)) == before
+    a = _activations(11, 20, 64, "float32")
+    for clone in (pickle.loads(pickle.dumps(tw)), copy.deepcopy(tw)):
+        assert set(clone.__dict__) == {"shape", "granularity", "tiles"}
+        np.testing.assert_array_equal(tw_gemm(a, clone), tw_gemm(a, tw))
