@@ -85,7 +85,6 @@ def build_loop(args) -> tuple[ServingLoop, list[np.ndarray]]:
         stats_interval_s=args.stats_interval_s,
         max_wave_rows=args.max_wave_rows,
     )
-    loop.server.warm()
     return loop, request_pool(args)
 
 

@@ -15,7 +15,7 @@ plan → batched GEMM execution) is exposed as a single call::
     model.price(m=4096).gemm_speedup      # cost-model latency vs dense
     y = model.run(rng.standard_normal((8, 256)))   # batched TW forward
     model.save("model.npz")               # offline artifact (repro.load)
-    server = model.serve()                # warm TWModelServer
+    server = model.serve()                # serves the compiled artifact
 
 Multi-device placement (the serving scale-out axis)::
 

@@ -15,7 +15,7 @@ every call site, callers write::
     y = model.run(x)          # batched TW forward (bit-identical to the
                               # hand-wired pipeline)
     model.save("model.npz")   # offline artifact (repro.load round-trips)
-    server = model.serve()    # warm TWModelServer, caches pre-seeded
+    server = model.serve()    # TWModelServer over the compiled formats/plans
 
 :func:`compile` one-shot-prunes *frozen* weights.  The paper's headline
 accuracy numbers come from the **training-time** procedure instead —
@@ -51,6 +51,7 @@ Two compilation sources:
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,7 +88,7 @@ from repro.runtime.engine import (
 )
 from repro.runtime.placement import Placement, resolve_placement
 from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
-from repro.runtime.server import ServerConfig, TWModelServer, weight_fingerprint
+from repro.runtime.server import ServerConfig, TWModelServer
 
 __all__ = [
     "compile",
@@ -123,7 +124,7 @@ _NON_REGISTRY_PATTERNS = ("dense", "tew")
 
 @dataclass(frozen=True)
 class CompiledLayer:
-    """One layer of a compiled model: formats, plans, cache identity.
+    """One layer of a compiled model: weights, masks, format and plans.
 
     For TW compilations every field is populated; for mask-only patterns
     (``ew``/``vw``/``bw``/``nm``) only ``dense`` + ``mask`` are (execution
@@ -140,7 +141,6 @@ class CompiledLayer:
     tw: TiledTWMatrix | None = None
     plans: dict[DeviceSpec, ExecutionPlan] = field(default_factory=dict)
     epilogue: EpilogueSpec | None = None
-    fingerprint: str = ""
 
     @property
     def sparsity(self) -> float:
@@ -250,6 +250,17 @@ class CompiledTWModel:
             if l.dense is not None:
                 return l.dense.dtype
         return np.dtype(np.float64)
+
+    @property
+    def activation_dtype(self) -> np.dtype:
+        """Dtype activations are cast to before the first layer.
+
+        The compiled ``dtype`` for float models, ``float32`` for integer
+        payloads (``int8`` quantises weights only and keeps float
+        activations with fp32 accumulation).  :meth:`run` and the server
+        both read it, so they execute the same numerics.
+        """
+        return np.dtype(np.float32) if self.dtype.kind in "iu" else self.dtype
 
     def _require_weights(self, what: str) -> None:
         if not self.executable:
@@ -400,17 +411,15 @@ class CompiledTWModel:
         (:func:`~repro.kernels.masked.live_rows`), the same rows the
         server's wave steps carry.
 
-        Activations are cast once, at entry, to the model's activation
-        dtype — the compiled ``dtype`` for float models, ``float32`` for
-        ``int8`` (weights-only quantisation keeps float activations) — so
+        Activations are cast once, at entry, to
+        :attr:`activation_dtype`, which the server casts to as well, so
         ``run`` and ``serve`` execute the same numerics and stay
         bit-identical.
         """
         self._require_weights("run")
         a = np.atleast_2d(np.asarray(x))
-        act = np.dtype("float32") if self.dtype.kind in "iu" else self.dtype
-        if a.dtype != act:
-            a = a.astype(act)
+        if a.dtype != self.activation_dtype:
+            a = a.astype(self.activation_dtype)
         if self.layers and a.shape[1] != self.layers[0].shape[0]:
             raise ValueError(
                 f"input K={a.shape[1]} != model K={self.layers[0].shape[0]}"
@@ -439,54 +448,34 @@ class CompiledTWModel:
         *,
         executor: str | None = None,
         workers: int | None = None,
-        cache_budget: int | None = None,
         max_retries: int | None = None,
         max_queue_rows: int | None = None,
         shed_policy: str | None = None,
         watchdog_s: float | None = None,
         faults: object = None,
     ) -> TWModelServer:
-        """A :class:`TWModelServer` over this model, caches pre-seeded.
+        """A :class:`TWModelServer` over this model's compiled artifact.
 
-        With no ``config``, the server inherits the compiled granularity,
-        payload dtype and placement.  The compiled formats and per-device
-        plans are adopted into the server's caches (``preload``), so the
-        first request is already warm whenever the config matches.
+        The server executes the compiled formats and per-device plans
+        under the compiled placement and activation dtype; it never
+        compacts or plans.
 
         The keyword arguments override the corresponding
         :class:`ServerConfig` fields (with or without an explicit
         ``config``): ``executor="threaded"`` overlaps the placement's
         device slots in wall-time — outputs stay bit-identical to
-        ``inline`` — ``cache_budget`` bounds the format/plan caches (LRU),
-        and the robustness knobs (``max_retries``, ``max_queue_rows``,
-        ``shed_policy``, ``watchdog_s``, ``faults``) configure the
-        fault-tolerant serving path (ISSUE 6): wave retry with poison
+        ``inline`` — and the robustness knobs (``max_retries``,
+        ``max_queue_rows``, ``shed_policy``, ``watchdog_s``, ``faults``)
+        configure the fault-tolerant serving path: wave retry with poison
         isolation, queue backpressure, stall watchdog and deterministic
         fault injection.  Call ``server.close()`` (or use the server as a
         context manager) when done.
         """
-        self._require_weights("serve")
-        if any(l.tw is None for l in self.layers):
-            raise ValueError(
-                f"serving requires the TW pattern; this model was compiled "
-                f"with pattern={self.pattern!r}"
-            )
-        if config is None:
-            quantized = self.dtype.kind in "iu"
-            config = ServerConfig(
-                granularity=self.granularity,
-                # int8 models store quantized tiles but serve float32
-                # activations (weights-only quantization, fp32 accumulate)
-                dtype="float32" if quantized else str(self.dtype),
-                storage_dtype=str(self.dtype) if quantized else "",
-                placement=self.placement,
-            )
         overrides = {
             k: v
             for k, v in (
                 ("executor", executor),
                 ("workers", workers),
-                ("cache_budget", cache_budget),
                 ("max_retries", max_retries),
                 ("max_queue_rows", max_queue_rows),
                 ("shed_policy", shed_policy),
@@ -495,15 +484,8 @@ class CompiledTWModel:
             )
             if v is not None
         }
-        if overrides:
-            import dataclasses
-
-            config = dataclasses.replace(config, **overrides)
-        server = TWModelServer(config)
-        for i, l in enumerate(self.layers):
-            server.add_layer(l.dense, l.col_keep, list(l.row_masks), epilogue=l.epilogue)
-            server.preload(i, l.tw, l.plans)
-        return server
+        config = dataclasses.replace(config or ServerConfig(), **overrides)
+        return TWModelServer(self, config)
 
     def serve_async(
         self,
@@ -657,9 +639,6 @@ class CompiledTWModel:
                     tw=tw,
                     plans=_build_plans(tw, placement, i, n),
                     epilogue=_epilogue_from_dict(raw.get("epilogue")),
-                    fingerprint=weight_fingerprint(
-                        dense, raw["col_keep"], list(raw["row_masks"])
-                    ),
                 )
             )
         return cls(
@@ -674,8 +653,6 @@ class CompiledTWModel:
 
 
 def _device_dict(d: DeviceSpec) -> dict:
-    import dataclasses
-
     return dataclasses.asdict(d)
 
 
@@ -787,7 +764,6 @@ def _tw_layer(
         tw=tw,
         plans=_build_plans(tw, placement, index, n_layers),
         epilogue=epilogue,
-        fingerprint=weight_fingerprint(w, col_keep, row_masks),
     )
 
 
@@ -1241,8 +1217,6 @@ def tune(
         Extra registry-factory arguments for baseline patterns
         (``vector_size``, ``block_shape``, ``n``/``m``).
     """
-    import dataclasses
-
     placement = resolve_placement(placement, devices)
     engine = resolve_engine(engine)
 

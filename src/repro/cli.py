@@ -154,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=None,
                          help="worker cap for --executor threaded "
                               "(default: one per device slot)")
-    p_serve.add_argument("--cache-budget", type=int, default=0,
-                         help="LRU entry budget for the format/plan caches "
-                              "(0 = unbounded)")
     p_serve.add_argument("--max-retries", type=int, default=2,
                          help="re-execution budget per failed wave group "
                               "before bisection isolates the poison request")
@@ -213,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--stats-json", default=None, metavar="PATH",
                          help="dump the structured stats snapshot (queue "
                               "depth, wave occupancy, per-device busy %%, "
-                              "cache hit rate, latency percentiles) as JSON")
+                              "latency percentiles) as JSON")
     p_serve.add_argument("--stats-interval-s", type=float, default=0.0,
                          help="emit a one-line ingress stats log every N "
                               "seconds during --continuous (0 = off)")
@@ -467,9 +464,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.max_queue_rows < 0:
         print("error: --max-queue-rows must be >= 0", file=sys.stderr)
         return 2
-    if args.cache_budget < 0:
-        print("error: --cache-budget must be >= 0", file=sys.stderr)
-        return 2
     if args.continuous and (args.rate <= 0 or args.duration <= 0):
         print("error: --continuous needs --rate > 0 and --duration > 0",
               file=sys.stderr)
@@ -510,7 +504,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = model.serve(
             executor=args.executor, workers=args.workers,
-            cache_budget=args.cache_budget or None,
             max_retries=args.max_retries,
             max_queue_rows=args.max_queue_rows,
             shed_policy=args.shed_policy,
@@ -539,7 +532,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 rejected += 1
         served = server.flush()
     finally:
-        # deterministic teardown: executor closed, caches dropped
+        # deterministic teardown: executor closed
         server.close()
     st = server.stats
     by_status: dict[str, int] = {}
@@ -639,7 +632,7 @@ def _serve_http(args, model, placement, server) -> int:
         net.run()
     finally:
         # the loop does not own this server (the CLI built it); close for
-        # deterministic teardown — executor closed, caches dropped
+        # deterministic teardown — executor closed
         server.close()
     record = net.final_stats or {}
     st = record.get("latency_ms", {})
@@ -704,7 +697,6 @@ def _serve_continuous(args, model, placement, server, weights) -> int:
         return result, record
 
     try:
-        server.warm()  # formats + plans built before timed traffic
         result, record = asyncio.run(run())
     finally:
         server.close()

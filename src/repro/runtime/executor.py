@@ -97,9 +97,9 @@ EXECUTORS = Registry("executor")
 class WaveStep:
     """One layer of one wave, tagged with the device slot that runs it.
 
-    The placement emits the ``(layer, slot)`` mapping; the server resolves
-    the cached format/plan; the executor only ever consumes these finished
-    work items.
+    The placement emits the ``(layer, slot)`` mapping; the server builds
+    each layer's step per slot once, from the compiled model's format and
+    plan; the executor only ever consumes these finished work items.
     """
 
     layer: int

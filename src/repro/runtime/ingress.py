@@ -82,8 +82,8 @@ class ServingLoop:
     Parameters
     ----------
     server:
-        A configured :class:`TWModelServer` (layers added, ideally
-        ``warm()``\\ ed).  The loop never reconfigures it.
+        A :class:`TWModelServer` (``model.serve()``).  The loop never
+        reconfigures it.
     max_wave_rows:
         Admission cap per iteration; defaults to the server's own
         ``config.max_wave_rows``.  A smaller value admits more, smaller

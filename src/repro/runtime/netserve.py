@@ -23,7 +23,8 @@ Endpoints
     Invalid payloads get 400 with a structured JSON error body — a
     traceback never crosses the wire.
 ``GET /healthz``
-    Readiness: 503 while ``server.warm()`` runs, 200 after.
+    Readiness: 200 once the listener is bound (the compiled model needs
+    no warm-up), 503 while closing.
 ``GET /v1/stats``
     The :meth:`ServingLoop.stats_record` snapshot as JSON.
 
@@ -141,7 +142,6 @@ class NetServer:
         self._bound_port: int | None = None
         self._conns: set[asyncio.Task] = set()
         self._busy: set[asyncio.Task] = set()
-        self._ready = False
         self._closing = False
         self._closed = False
         self._requests_seen = 0
@@ -162,11 +162,10 @@ class NetServer:
         return self._bound_port if self._bound_port is not None else self._requested_port
 
     async def start(self) -> None:
-        """Bind the listener, then warm the model off the event loop.
+        """Start the serving loop and bind the listener.
 
-        The socket opens *before* the (potentially slow) ``warm()`` so
-        orchestrators can poll ``/healthz`` — it answers 503 until the
-        formats and plans are built, then 200.
+        The server executes a compiled model, so there is nothing to
+        build: ``/healthz`` answers 200 as soon as the socket is bound.
         """
         if self._listener is not None:
             raise RuntimeError("NetServer already started")
@@ -176,11 +175,6 @@ class NetServer:
         )
         if self._listener.sockets:
             self._bound_port = self._listener.sockets[0].getsockname()[1]
-        # warm on the flush pool's thread-neighbourhood: a plain executor
-        # thread is fine, the server is untouched by the event loop until
-        # the first request is admitted
-        await asyncio.get_running_loop().run_in_executor(None, self.loop.server.warm)
-        self._ready = True
 
     async def serve_forever(self) -> None:
         if self._listener is None:
@@ -264,9 +258,8 @@ class NetServer:
     def background(self) -> "NetServer":
         """Run the server on a daemon thread; context-managed.
 
-        ``__enter__`` blocks until the listener is bound **and** the
-        model is warm, so ``net.port`` is valid and the first request
-        never eats cold-start.
+        ``__enter__`` blocks until the listener is bound, so
+        ``net.port`` is valid.
         """
         return self
 
@@ -440,8 +433,8 @@ class NetServer:
             )
             return
         doc = {
-            "ready": self._ready and not self._closing,
-            "status": "ok" if self._ready and not self._closing else "warming",
+            "ready": not self._closing,
+            "status": "closing" if self._closing else "ok",
             "requests_seen": self._requests_seen,
             "wire_version": wire.VERSION,
         }
@@ -461,7 +454,7 @@ class NetServer:
             )
             return
         record = self.loop.stats_record()
-        record["net"] = {"requests_seen": self._requests_seen, "ready": self._ready}
+        record["net"] = {"requests_seen": self._requests_seen, "ready": not self._closing}
         await self._respond(
             writer, 200, json.dumps(record, sort_keys=True).encode(),
             content_type=wire.CONTENT_TYPE_JSON, keep_alive=keep_alive,
@@ -475,12 +468,6 @@ class NetServer:
         arrived: float,
         keep_alive: bool,
     ) -> None:
-        if not self._ready:
-            await self._respond_error(
-                writer, 503, "warming", "model is still warming; retry",
-                keep_alive=keep_alive, retry_after=True,
-            )
-            return
         content_type = headers.get("content-type", wire.CONTENT_TYPE_TENSOR)
         content_type = content_type.split(";", 1)[0].strip().lower()
         binary_reply = content_type != wire.CONTENT_TYPE_JSON

@@ -1,8 +1,8 @@
 """Placement policies: mapping a compiled layer stack onto devices.
 
-The ROADMAP's multi-device open item: the format/plan caches are keyed by
-device, so spreading a model over several :class:`~repro.gpu.device.DeviceSpec`
-instances is *cache composition*, not cache surgery.  A :class:`Placement`
+A compiled model holds one execution plan per device a layer may run on,
+so spreading it over several :class:`~repro.gpu.device.DeviceSpec`
+instances only picks plans, never rebuilds them.  A :class:`Placement`
 says which device owns which work:
 
 - ``single``        — everything on one device (the historical behaviour);

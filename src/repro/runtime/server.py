@@ -1,43 +1,38 @@
 """High-throughput TW model serving (ROADMAP north star: many requests).
 
-The paper's pipeline makes weight-side work — compaction into
-:class:`~repro.formats.tiled.TiledTWMatrix`, width-grouped batching, stream
-assignment — a *per-model* cost, while every request only pays the batched
-GEMMs.  :class:`TWModelServer` operationalises that split:
+The paper compacts and reorganises the weights once, offline (§VI
+pre-processing); after that, inference only runs the tiled GEMM.
+:class:`TWModelServer` is the online half of that split: it serves a
+:class:`~repro.api.CompiledTWModel`, whose compact
+:class:`~repro.formats.tiled.TiledTWMatrix` formats and per-device
+:class:`~repro.runtime.scheduler.ExecutionPlan`\\ s ``compile()`` already
+built, so every request only pays the batched GEMMs:
 
-- **Format & plan caches** keyed by
-  ``(weight fingerprint, pattern, granularity, dtype)`` and
-  ``(format key, batching, streams, device)``: the first request compacts
-  and plans, every later request replays the cached
-  :class:`~repro.runtime.scheduler.ExecutionPlan` — amortising construction
-  across millions of calls (cache-hit counters make this observable).
-  :meth:`TWModelServer.preload` lets a compiled model
-  (:class:`repro.api.CompiledTWModel`) seed these caches so serving starts
-  warm.
+- **Compiled steps**: the server fixes each layer's format, plan per
+  device slot, epilogue and live input rows once, at construction.  A
+  wave only picks the step of the slot that runs each layer; nothing is
+  compacted or planned while serving.
 - **Micro-batching**: concurrent requests' activations stack into one
   matrix, so each layer runs *one* batched GEMM for the whole wave instead
   of one per request (``submit`` + ``flush``; ``serve`` is the
   single-request convenience).
-- **Multi-device placement** (ROADMAP PR 2 open item): a
+- **Multi-device placement**: the model's
   :class:`~repro.runtime.placement.Placement` spreads work over several
   :class:`~repro.gpu.device.DeviceSpec`\\ s — ``replicated`` round-robins
   waves across full-model replicas, ``layer_sharded`` splits the layer
-  stack so each wave flows shard to shard.  The plan cache is already
-  device-keyed, so sharding composes with it rather than replacing it.
+  stack so each wave flows shard to shard.
 - **Pluggable execution**: the placement emits a device→work
   mapping (:meth:`~repro.runtime.placement.Placement.wave_slots`) and an
   :class:`~repro.runtime.executor.Executor` — ``inline`` (the sequential
   oracle) or ``threaded`` (one worker thread per device slot, bounded
   wave pipeline) — decides how those device-tagged work items overlap in
   wall-time.  Outputs are bit-identical across executors; only wall-time
-  and the measured occupancy stats change.  Caches are bounded by
-  ``ServerConfig(cache_budget=...)`` and torn down by
-  :meth:`TWModelServer.close`.
+  and the measured occupancy stats change.  :meth:`TWModelServer.close`
+  tears the executor down.
 - **Stats**: per-request latency, per-flush batch sizes, rows/s and
-  requests/s throughput, per-device busy time/GEMM counts, measured flush
-  wall-time (``wall_time_s`` / ``parallel_efficiency()``), and
-  stream-imbalance diagnostics from the plans.
-- **Fault tolerance & SLOs** (ISSUE 6): every submitted request reaches a
+  requests/s throughput, per-device busy time/GEMM counts and measured
+  flush wall-time (``wall_time_s`` / ``parallel_efficiency()``).
+- **Fault tolerance & SLOs**: every submitted request reaches a
   *terminal* :attr:`ServedRequest.status` — ``ok``, ``failed`` (poison
   isolated after retries/bisection), ``shed`` (backpressure) or
   ``expired`` (deadline passed before execution).  ``flush()`` retries
@@ -49,24 +44,22 @@ GEMMs.  :class:`TWModelServer` operationalises that split:
   :class:`~repro.runtime.faults.FaultInjector` through every wave for
   chaos testing and recovery benchmarks.
 
-Execution order inside a layer follows the cached plan's stream issue
+Execution order inside a layer follows the compiled plan's stream issue
 order, so what the cost model prices (plan → batch → stream) is exactly
 what executes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import time
-from collections import OrderedDict, deque
-from dataclasses import InitVar, dataclass, field
+from collections import deque
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.formats.tiled import TiledTWMatrix
-from repro.gpu.device import DeviceSpec, V100
 from repro.kernels.masked import live_rows
 from repro.runtime.executor import (
     EXECUTORS,
@@ -75,8 +68,9 @@ from repro.runtime.executor import (
     resolve_executor,
 )
 from repro.runtime.faults import FaultInjector, resolve_faults
-from repro.runtime.placement import Placement
-from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
+
+if TYPE_CHECKING:
+    from repro.api import CompiledTWModel
 
 __all__ = [
     "QueueFullError",
@@ -84,7 +78,6 @@ __all__ = [
     "ServedRequest",
     "ServerStats",
     "TWModelServer",
-    "weight_fingerprint",
 ]
 
 
@@ -93,141 +86,19 @@ class QueueFullError(RuntimeError):
     ``reject`` shed policy (or when a single request can never fit)."""
 
 
-class _LRUCache:
-    """Insertion/recency-ordered mapping with an entry budget.
-
-    ``budget=0`` means unbounded (the pre-ISSUE-7 behaviour).  Reads via
-    :meth:`get` and writes refresh recency; when a write pushes the cache
-    past its budget the least-recently-used entries are popped and handed
-    to ``on_evict(key, value)`` — the server uses that hook to count
-    evictions.
-    """
-
-    def __init__(self, budget: int = 0, on_evict=None) -> None:
-        self.budget = budget
-        self._on_evict = on_evict
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        hit = self._data.get(key)
-        if hit is not None:
-            self._data.move_to_end(key)
-        return hit
-
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        self._trim()
-
-    def setdefault(self, key, value):
-        hit = self.get(key)
-        if hit is not None:
-            return hit
-        self.put(key, value)
-        return value
-
-    def _trim(self) -> None:
-        while self.budget and len(self._data) > self.budget:
-            key, value = self._data.popitem(last=False)
-            if self._on_evict is not None:
-                self._on_evict(key, value)
-
-    def values(self):
-        return self._data.values()
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-
-def _hash_array(h, tag: bytes, arr: np.ndarray) -> None:
-    """Feed one array into ``h`` with an unambiguous header.
-
-    The header carries a tag, the logical shape, the dtype and the
-    contiguous strides, each length-delimited — so arrays of different
-    shapes (a matrix vs its transpose, two masks vs one twice as long)
-    can never produce the same byte stream even when their raw bytes
-    coincide.  ``ascontiguousarray`` first normalises the memory order,
-    making the fingerprint a function of the *logical* array: an F-order
-    view and its C-order copy hash identically.
-    """
-    arr = np.ascontiguousarray(arr)
-    header = repr((arr.shape, arr.dtype.str, arr.strides, "C")).encode()
-    h.update(b"%s:%d:" % (tag, len(header)))
-    h.update(header)
-    h.update(b"%d:" % arr.nbytes)
-    h.update(arr.tobytes())
-
-
-def weight_fingerprint(
-    dense: np.ndarray,
-    col_keep: np.ndarray,
-    row_masks: list[np.ndarray],
-) -> str:
-    """Content hash of a layer's weights + pruning masks (cache identity).
-
-    Computed once at registration; two models sharing weights and masks
-    share format-cache entries regardless of object identity.  Every array
-    is hashed with a shape/dtype/strides header and a length delimiter, so
-    a matrix and its transpose (same bytes, different shape) or two short
-    row masks and one long one (same concatenated bytes) get distinct
-    fingerprints.
-    """
-    h = hashlib.sha1()
-    _hash_array(h, b"dense", np.asarray(dense))
-    _hash_array(h, b"col_keep", np.ascontiguousarray(col_keep, dtype=bool))
-    h.update(b"masks:%d:" % len(row_masks))
-    for mask in row_masks:
-        _hash_array(h, b"row_mask", np.ascontiguousarray(mask, dtype=bool))
-    return h.hexdigest()
-
-
 @dataclass(frozen=True)
 class ServerConfig:
-    """Engine configuration for one server instance.
+    """Serving configuration for one server instance.
 
-    Every field is part of a cache key: changing the granularity, payload
-    dtype, batching/stream switches or device re-plans on first use.
+    What to serve — formats, plans, placement, dtypes — comes from the
+    compiled model; this only says how waves are formed, executed and
+    protected.
 
     Attributes
     ----------
-    granularity:
-        TW tile width the server compacts at.
-    batching, streams:
-        Plan switches (paper Fig. 7 steps 3–4).
-    dtype:
-        Activation dtype for serving (and, by default, the compact payload
-        dtype too).
-    storage_dtype:
-        Compact *weight payload* dtype when it differs from the activation
-        dtype (``""`` = same as ``dtype``).  The mixed-precision split:
-        an int8-quantized model stores ``storage_dtype="int8"`` tiles
-        (per-tile scales, weights-only quantization) while waves run
-        ``dtype="float32"`` activations with fp32 accumulation.  Part of
-        the format cache key, so the same weights served at two storage
-        precisions never share compacted formats.
     max_wave_rows:
         Row cap per micro-batch wave; larger queues split into successive
-        waves (requests never split across waves).  The PR 2 name
-        ``max_batch_rows`` is still accepted as a constructor alias and
-        readable as an attribute.
-    queue_timeout_s:
-        **Post-hoc SLO accounting only.**  Requests whose *observed*
-        latency (queueing + execution) exceeds this budget are counted in
-        ``stats.deadline_misses`` after they are served — they still run
-        and still return output.  ``0`` disables the accounting.  This is
-        distinct from per-request ``deadline_s`` (see
-        :meth:`TWModelServer.submit`), which *sheds* a request — no GEMM
-        ever runs for it — once its deadline passes.
-    device:
-        The single-device anchor (ignored when ``placement`` is given).
-    placement:
-        Multi-device policy; ``None`` means single-device on ``device``.
+        waves (requests never split across waves).
     executor:
         How placed waves execute in wall-time — an
         :data:`~repro.runtime.executor.EXECUTORS` registry name
@@ -235,11 +106,6 @@ class ServerConfig:
         ``threaded`` runs one worker thread per device slot so replicated
         waves and layer-sharded pipeline stages overlap wherever the GIL
         allows.  Outputs are bit-identical in every case.
-    cache_budget:
-        Entry budget shared by the format cache and the plan cache
-        (``0`` = unbounded, the historical behaviour).  When a cache
-        outgrows the budget its least-recently-used entries are evicted
-        (``stats.format_evictions``/``plan_evictions`` count them).
     workers:
         Worker-thread cap for ``threaded`` (``None`` = one per device
         slot).  Passing it with an executor that has no workers
@@ -273,17 +139,8 @@ class ServerConfig:
         schedule.
     """
 
-    granularity: int = 128
-    batching: bool = True
-    streams: bool = True
-    dtype: str = "float64"
-    storage_dtype: str = ""
     max_wave_rows: int = 8192
-    queue_timeout_s: float = 0.0
-    device: DeviceSpec = V100
-    placement: Placement | None = None
     executor: str = "inline"
-    cache_budget: int = 0
     workers: int | None = None
     max_retries: int = 2
     retry_backoff_s: float = 0.0
@@ -291,35 +148,11 @@ class ServerConfig:
     shed_policy: str = "reject"
     watchdog_s: float | None = None
     faults: FaultInjector | str | None = None
-    #: deprecated constructor alias for :attr:`max_wave_rows` (PR 2 name)
-    max_batch_rows: InitVar[int | None] = None
 
-    def __post_init__(self, max_batch_rows: int | None) -> None:
-        if max_batch_rows is not None:
-            if self.max_wave_rows != _DEFAULT_WAVE_ROWS and (
-                self.max_wave_rows != max_batch_rows
-            ):
-                raise ValueError(
-                    "pass max_wave_rows or its alias max_batch_rows, not "
-                    f"conflicting values ({self.max_wave_rows} vs {max_batch_rows})"
-                )
-            object.__setattr__(self, "max_wave_rows", max_batch_rows)
-        if not isinstance(self.granularity, int) or self.granularity <= 0:
-            raise ValueError(f"granularity must be a positive int, got {self.granularity!r}")
+    def __post_init__(self) -> None:
         if not isinstance(self.max_wave_rows, int) or self.max_wave_rows <= 0:
             raise ValueError(
                 f"max_wave_rows must be a positive int, got {self.max_wave_rows!r}"
-            )
-        if not np.isfinite(self.queue_timeout_s) or self.queue_timeout_s < 0:
-            raise ValueError(
-                f"queue_timeout_s must be finite and non-negative, got {self.queue_timeout_s!r}"
-            )
-        np.dtype(self.dtype)  # raises on unknown dtype names
-        if self.storage_dtype:
-            np.dtype(self.storage_dtype)
-        if self.placement is not None and not isinstance(self.placement, Placement):
-            raise TypeError(
-                f"placement must be a Placement or None, got {type(self.placement).__name__}"
             )
         if not isinstance(self.executor, str):
             raise TypeError(
@@ -327,11 +160,6 @@ class ServerConfig:
                 f"{type(self.executor).__name__}"
             )
         object.__setattr__(self, "executor", EXECUTORS.canonical(self.executor))
-        if not isinstance(self.cache_budget, int) or self.cache_budget < 0:
-            raise ValueError(
-                f"cache_budget must be a non-negative int (0 = unbounded), "
-                f"got {self.cache_budget!r}"
-            )
         if self.workers is not None and (
             not isinstance(self.workers, int) or self.workers < 1
         ):
@@ -366,26 +194,6 @@ class ServerConfig:
         # normalise once so the server (and repeated flushes) always see a
         # ready injector; spec strings parse here, at configuration time
         object.__setattr__(self, "faults", resolve_faults(self.faults))
-
-    def resolved_placement(self) -> Placement:
-        """The effective placement (``device`` wrapped as ``single``)."""
-        return self.placement or Placement("single", (self.device,))
-
-    @property
-    def resolved_storage_dtype(self) -> str:
-        """The effective compact-payload dtype (falls back to ``dtype``)."""
-        return self.storage_dtype or self.dtype
-
-
-_DEFAULT_WAVE_ROWS = 8192
-
-# readable alias (the InitVar above only covers the constructor; the
-# dataclass-generated __init__ captured its defaults at decoration, so
-# replacing the class attribute with a property afterwards is safe)
-ServerConfig.max_batch_rows = property(
-    lambda self: self.max_wave_rows,
-    doc="Backward-compatible read alias of max_wave_rows.",
-)
 
 
 @dataclass
@@ -435,28 +243,21 @@ LATENCY_WINDOW = 4096
 
 @dataclass
 class ServerStats:
-    """Running counters; throughput is derived from GEMM busy time
-    (format compaction and plan building are excluded — they are the
-    amortised cold path the hit counters track)."""
+    """Running counters; throughput is derived from GEMM busy time."""
 
     requests: int = 0
     rows: int = 0
     batches: int = 0
     gemms: int = 0
-    format_hits: int = 0
-    format_misses: int = 0
-    plan_hits: int = 0
-    plan_misses: int = 0
-    #: LRU entries dropped by a ``cache_budget`` (0 while unbounded)
-    format_evictions: int = 0
-    plan_evictions: int = 0
+    #: wave steps built, each from a compiled format and plan (every wave
+    #: contributes one per layer, retried waves included)
+    steps: int = 0
     busy_s: float = 0.0
     #: measured wall-clock seconds spent inside executor runs (``flush``);
     #: with a concurrent executor this is *less* than ``busy_s`` — the
     #: difference is realised overlap, not modeled headroom
     wall_time_s: float = 0.0
     latency_total_s: float = 0.0
-    deadline_misses: int = 0
     #: wave-group re-executions after a failure (graceful ``flush`` only)
     retries: int = 0
     #: requests put back in the work queue by a retry or bisection
@@ -548,8 +349,9 @@ class ServerStats:
         :meth:`TWModelServer.stats_record`.
         """
         wall = self.wall_time_s
-        fmt_total = self.format_hits + self.format_misses
-        plan_total = self.plan_hits + self.plan_misses
+        # every step reads the compiled format and plan: the cache section
+        # keeps its historical shape, with nothing ever missed
+        hit_rate = 1.0 if self.steps else 0.0
         return {
             "requests": self.requests,
             "rows": self.rows,
@@ -573,21 +375,14 @@ class ServerStats:
             },
             "device_gemms": dict(sorted(self.device_gemms.items())),
             "cache": {
-                "format_hits": self.format_hits,
-                "format_misses": self.format_misses,
-                "format_hit_rate": (
-                    round(self.format_hits / fmt_total, 4) if fmt_total else 0.0
-                ),
-                "format_evictions": self.format_evictions,
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "plan_hit_rate": (
-                    round(self.plan_hits / plan_total, 4) if plan_total else 0.0
-                ),
-                "plan_evictions": self.plan_evictions,
+                "format_hits": self.steps,
+                "format_misses": 0,
+                "format_hit_rate": hit_rate,
+                "plan_hits": self.steps,
+                "plan_misses": 0,
+                "plan_hit_rate": hit_rate,
             },
             "slo": {
-                "deadline_misses": self.deadline_misses,
                 "retries": self.retries,
                 "requeues": self.requeues,
                 "shed": self.shed,
@@ -595,25 +390,6 @@ class ServerStats:
                 "poisoned": self.poisoned,
             },
         }
-
-
-@dataclass(frozen=True)
-class _Layer:
-    """One registered weight layer (dense + masks + cache identity).
-
-    ``epilogue`` is the optional fused non-GEMM consumer
-    (:class:`~repro.kernels.fusion.EpilogueSpec`) applied inside the wave
-    task right after this layer's GEMM.  It rides the wave step rather
-    than the format/plan caches — compaction and planning are
-    epilogue-independent, so two models differing only in epilogues still
-    share cached formats.
-    """
-
-    dense: np.ndarray
-    col_keep: np.ndarray
-    row_masks: tuple[np.ndarray, ...]
-    fingerprint: str
-    epilogue: object | None = None
 
 
 @dataclass
@@ -634,31 +410,55 @@ class _Pending:
 
 
 class TWModelServer:
-    """Serve a stack of TW-pruned GEMM layers with cached plans.
+    """Serve a compiled TW model's layer stack with micro-batched waves.
 
-    Layers are registered as ``(dense weight, col_keep, row_masks)`` — the
-    pruner's outputs — and compacted lazily on first use.  A request's
-    activations flow through every layer in order (``K`` of layer ``l+1``
-    must equal ``N`` of layer ``l``); pruned output columns are exact
-    zeros, so chaining is closed under TW execution.
+    A request's activations flow through every layer in order; pruned
+    output columns are exact zeros, so chaining is closed under TW
+    execution.  Outputs are bit-identical to
+    :meth:`repro.api.CompiledTWModel.run` on the same rows.
     """
 
-    def __init__(self, config: ServerConfig | None = None) -> None:
+    def __init__(
+        self, model: CompiledTWModel, config: ServerConfig | None = None
+    ) -> None:
+        model._require_weights("serve")
+        if any(l.tw is None for l in model.layers):
+            raise ValueError(
+                f"serving requires the TW pattern; this model was compiled "
+                f"with pattern={model.pattern!r}"
+            )
+        for i in range(1, model.n_layers):
+            if model.layers[i].shape[0] != model.layers[i - 1].shape[1]:
+                raise ValueError(
+                    f"layer {i} K={model.layers[i].shape[0]} does not chain "
+                    f"onto layer {i - 1} N={model.layers[i - 1].shape[1]}"
+                )
         self.config = config or ServerConfig()
-        self.placement = self.config.resolved_placement()
+        self.placement = model.placement
+        self.model_k = model.layers[0].shape[0]
+        self._dtype = model.activation_dtype
+        # every layer's step for every device slot that holds a plan for
+        # it: a wave only picks the step of the slot the placement assigns
+        devices = self.placement.devices
+        labels = self.placement.device_labels()
+        self._steps: list[dict[int, WaveStep]] = []
+        rows = None  # input features the previous layer can write
+        for i, l in enumerate(model.layers):
+            self._steps.append({
+                slot: WaveStep(
+                    layer=i, tw=l.tw, plan=l.plans[device], slot=slot,
+                    label=labels[slot], epilogue=l.epilogue, rows=rows,
+                )
+                for slot, device in enumerate(devices)
+                if device in l.plans
+            })
+            rows = live_rows(l.tw, l.epilogue)
         self.executor = resolve_executor(
             self.config.executor,
             workers=self.config.workers,
             watchdog_s=self.config.watchdog_s,
         )
         self.stats = ServerStats()
-        self._layers: list[_Layer] = []
-        self._formats: _LRUCache = _LRUCache(
-            self.config.cache_budget, self._evict_format
-        )
-        self._plans: _LRUCache = _LRUCache(
-            self.config.cache_budget, self._evict_plan
-        )
         self._closed = False
         self._pending: deque[_Pending] = deque()
         self._queued_rows = 0
@@ -668,153 +468,14 @@ class TWModelServer:
         self._next_id = 0
         self._batch_id = 0
 
-    # ------------------------------------------------------------------ #
-    # model registration
-    # ------------------------------------------------------------------ #
-    def add_layer(
-        self,
-        dense: np.ndarray,
-        col_keep: np.ndarray,
-        row_masks: list[np.ndarray],
-        *,
-        epilogue=None,
-    ) -> str:
-        """Register one pruned GEMM layer; returns its weight fingerprint.
-
-        ``epilogue`` optionally attaches a fused
-        :class:`~repro.kernels.fusion.EpilogueSpec` that every wave applies
-        right after this layer's GEMM (same semantics as
-        :meth:`repro.api.CompiledTWModel.run`).
-        """
-        dense = np.asarray(dense)
-        if dense.ndim != 2:
-            raise ValueError("layer weight must be 2-D")
-        if self._layers and self._layers[-1].dense.shape[1] != dense.shape[0]:
-            raise ValueError(
-                f"layer K={dense.shape[0]} does not chain onto previous "
-                f"layer N={self._layers[-1].dense.shape[1]}"
-            )
-        fp = weight_fingerprint(dense, col_keep, row_masks)
-        self._layers.append(
-            _Layer(dense, np.asarray(col_keep, dtype=bool),
-                   tuple(np.asarray(m, dtype=bool) for m in row_masks), fp,
-                   epilogue)
-        )
-        return fp
-
     @property
     def n_layers(self) -> int:
-        """Registered layers."""
-        return len(self._layers)
-
-    @property
-    def model_k(self) -> int | None:
-        """Input width a request row must have (``None`` before layers)."""
-        return int(self._layers[0].dense.shape[0]) if self._layers else None
+        """Served layers."""
+        return len(self._steps)
 
     def shard_layout(self) -> list[str]:
         """Device slot (``name#index``) owning each layer under the placement."""
         return self.placement.shard_labels(self.n_layers)
-
-    def warm(self) -> None:
-        """Prebuild every layer's format and plans (optional cold-start hide)."""
-        plan_devices = self.placement.plan_devices(self.n_layers)
-        for layer, devices in zip(self._layers, plan_devices):
-            tw = self._format_for(layer)
-            for device in devices:
-                self._plan_for(layer, tw, device)
-
-    def preload(
-        self,
-        index: int,
-        tw: TiledTWMatrix,
-        plans: dict[DeviceSpec, ExecutionPlan] | None = None,
-    ) -> bool:
-        """Seed the caches for layer ``index`` with prebuilt artifacts.
-
-        Called by :meth:`repro.api.CompiledTWModel.serve` so compilation
-        work is reused instead of redone.  The format is only adopted when
-        it matches this server's config (granularity and payload dtype);
-        plans only when the server runs the full plan pipeline
-        (``batching`` and ``streams`` on, as the compiler builds them).
-        Returns whether the format was adopted.
-        """
-        layer = self._layers[index]
-        storage = np.dtype(self.config.resolved_storage_dtype)
-        if tw.granularity != self.config.granularity or tw.dtype != storage:
-            return False
-        if tw.shape != layer.dense.shape:
-            return False
-        self._formats.setdefault(self._format_key(layer), tw)
-        if plans and self.config.batching and self.config.streams:
-            for device, plan in plans.items():
-                self._plans.setdefault(self._plan_key(layer, device), plan)
-        return True
-
-    # ------------------------------------------------------------------ #
-    # caches
-    # ------------------------------------------------------------------ #
-    def _evict_format(self, key: tuple, tw: TiledTWMatrix) -> None:
-        self.stats.format_evictions += 1
-
-    def _evict_plan(self, key: tuple, plan: ExecutionPlan) -> None:
-        self.stats.plan_evictions += 1
-
-    def _format_key(self, layer: _Layer) -> tuple:
-        return (
-            layer.fingerprint,
-            "tw",
-            self.config.granularity,
-            self.config.resolved_storage_dtype,
-        )
-
-    def _format_for(self, layer: _Layer) -> TiledTWMatrix:
-        key = self._format_key(layer)
-        hit = self._formats.get(key)
-        if hit is not None:
-            self.stats.format_hits += 1
-            return hit
-        self.stats.format_misses += 1
-        tw = TiledTWMatrix.from_masks(
-            layer.dense,
-            self.config.granularity,
-            layer.col_keep,
-            list(layer.row_masks),
-            dtype=np.dtype(self.config.resolved_storage_dtype),
-        )
-        self._formats.put(key, tw)
-        return tw
-
-    def _plan_key(self, layer: _Layer, device: DeviceSpec) -> tuple:
-        return (
-            self._format_key(layer),
-            self.config.batching,
-            self.config.streams,
-            device,
-        )
-
-    def _plan_for(
-        self, layer: _Layer, tw: TiledTWMatrix, device: DeviceSpec | None = None
-    ) -> ExecutionPlan:
-        device = device if device is not None else self.placement.primary
-        key = self._plan_key(layer, device)
-        hit = self._plans.get(key)
-        if hit is not None:
-            self.stats.plan_hits += 1
-            return hit
-        self.stats.plan_misses += 1
-        plan = build_execution_plan(
-            tw,
-            device,
-            batching=self.config.batching,
-            streams=self.config.streams,
-        )
-        self._plans.put(key, plan)
-        return plan
-
-    def stream_imbalance(self) -> list[float]:
-        """Per-cached-plan stream imbalance diagnostics (max/mean work)."""
-        return [p.assignment.imbalance() for p in self._plans.values()]
 
     # ------------------------------------------------------------------ #
     # serving
@@ -832,8 +493,7 @@ class TWModelServer:
         request's enqueue time: a request whose deadline passes before it
         executes is *shed* at the next ``flush`` (terminal
         ``status="expired"``, no GEMM runs for it), and waves assemble
-        shortest-deadline-first.  Contrast with ``queue_timeout_s``,
-        which only counts misses post-hoc.
+        shortest-deadline-first.
 
         ``enqueued_at`` is an optional ``perf_counter`` timestamp of when
         the request *arrived* (defaults to now).  An ingress layer that
@@ -848,10 +508,8 @@ class TWModelServer:
         ``status="shed"``).
         """
         x = np.atleast_2d(np.asarray(x))
-        if self._layers and x.shape[1] != self._layers[0].dense.shape[0]:
-            raise ValueError(
-                f"request K={x.shape[1]} != model K={self._layers[0].dense.shape[0]}"
-            )
+        if x.shape[1] != self.model_k:
+            raise ValueError(f"request K={x.shape[1]} != model K={self.model_k}")
         if deadline_s is not None:
             deadline_s = float(deadline_s)
             if not np.isfinite(deadline_s) or deadline_s < 0:
@@ -979,12 +637,9 @@ class TWModelServer:
         Waves are built as the executor admits them: requests leave
         ``work`` one group at a time (bounded peak memory), and when
         execution fails the executor stops pulling — the unconsumed tail
-        stays on ``work`` for the caller.  Caches are resolved on the
-        driver thread inside ``_wave_task``, so ``busy_s`` times GEMM
-        execution only.  The first wave is built *outside* the timed
-        region: it resolves every cold format/plan, so ``wall_time_s``
-        (and ``measured_speedup``/``parallel_efficiency``) stays an
-        execution measurement even on a cold server.
+        stays on ``work`` for the caller.  Waves are built on the driver
+        thread inside ``_wave_task``, so ``busy_s`` times GEMM execution
+        only.
         """
 
         def task_stream():
@@ -1156,8 +811,6 @@ class TWModelServer:
             self.stats.rows += r
             self.stats.latency_total_s += latency
             self.stats.latencies_s.append(latency)
-            if self.config.queue_timeout_s and latency > self.config.queue_timeout_s:
-                self.stats.deadline_misses += 1
             served.append(
                 ServedRequest(
                     request_id=p.rid,
@@ -1240,17 +893,11 @@ class TWModelServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Tear the server down (idempotent).
-
-        Closes the executor and drops the format and plan caches.  Serving
-        after ``close()`` simply re-misses the caches: formats recompact.
-        """
+        """Tear the server down (idempotent): closes the executor."""
         if self._closed:
             return
         self._closed = True
         self.executor.close()
-        self._formats.clear()
-        self._plans.clear()
 
     def __enter__(self) -> "TWModelServer":
         return self
@@ -1259,36 +906,20 @@ class TWModelServer:
         self.close()
 
     def _wave_task(self, wave: list[_Pending]) -> WaveTask:
-        """Resolve one wave into device-tagged, plan-carrying work items.
+        """One wave as device-tagged work items.
 
-        Each step also carries the input features its GEMM reduces over
-        (:func:`~repro.kernels.masked.live_rows` of the layer before it),
-        fixed here so every executor and segment split runs the same math.
+        Each layer contributes the step built at construction for the slot
+        the placement assigns it, so every executor and segment split runs
+        the same format, plan and live input rows.
         """
-        dtype = np.dtype(self.config.dtype)
         batch = np.concatenate([p.x for p in wave], axis=0)
         slots = self.placement.wave_slots(self._batch_id, self.n_layers)
-        labels = self.placement.device_labels()
-        steps = []
-        prev_tw = prev_epilogue = None
-        for li, (layer, slot) in enumerate(zip(self._layers, slots)):
-            tw = self._format_for(layer)
-            steps.append(
-                WaveStep(
-                    layer=li,
-                    tw=tw,
-                    plan=self._plan_for(layer, tw, self.placement.devices[slot]),
-                    slot=slot,
-                    label=labels[slot],
-                    epilogue=layer.epilogue,
-                    rows=live_rows(prev_tw, prev_epilogue),
-                )
-            )
-            prev_tw, prev_epilogue = tw, layer.epilogue
+        steps = tuple(by_slot[slot] for by_slot, slot in zip(self._steps, slots))
+        self.stats.steps += len(steps)
         task = WaveTask(
             index=self._batch_id,
-            batch=batch.astype(dtype, copy=False),
-            steps=tuple(steps),
+            batch=batch.astype(self._dtype, copy=False),
+            steps=steps,
             faults=self.config.faults,
         )
         self._batch_id += 1

@@ -249,9 +249,14 @@ class TestPlacement:
         )
         server = model.serve()
         out = server.serve(x).output
-        # compiled formats and per-shard plans were adopted: zero misses
-        assert server.stats.format_misses == 0
-        assert server.stats.plan_misses == 0
+        # the server executes the compiled formats and per-shard plans
+        # themselves: nothing is recompacted or replanned
+        for layer, by_slot in zip(model.layers, server._steps):
+            for step in by_slot.values():
+                assert step.tw is layer.tw
+                assert step.plan is layer.plans[model.placement.devices[step.slot]]
+        cache = server.stats_record()["cache"]
+        assert cache["format_misses"] == cache["plan_misses"] == 0
         np.testing.assert_array_equal(out, model.run(x))
 
     def test_serve_executor_knobs(self, stack):
@@ -266,16 +271,50 @@ class TestPlacement:
         server = model.serve(executor="threaded", workers=2)
         assert isinstance(server.executor, ThreadedExecutor)
         assert server.executor.workers == 2
-        # the threaded path still pre-seeds and stays bit-identical
+        # the threaded path serves the compiled artifact bit-identically
         out = server.serve(x).output
-        assert server.stats.format_misses == 0
+        assert server.stats_record()["cache"]["format_misses"] == 0
         np.testing.assert_array_equal(out, model.run(x))
         # knobs also override an explicit config
-        cfg = ServerConfig(granularity=8, dtype=str(model.dtype),
-                           placement=model.placement)
-        server2 = model.serve(cfg, executor="threaded")
+        server2 = model.serve(ServerConfig(max_wave_rows=8), executor="threaded")
         assert server2.config.executor == "threaded"
-        assert server2.config.granularity == 8
+        assert server2.config.max_wave_rows == 8
+
+    @pytest.mark.parametrize("executor", ["inline", "threaded"])
+    @pytest.mark.parametrize(
+        "placement",
+        [Placement("layer_sharded", (V100, T4)), Placement("replicated", (V100, T4))],
+        ids=["layer_sharded", "replicated"],
+    )
+    def test_explicit_config_serves_the_compiled_granularity_and_dtype(
+        self, placement, executor
+    ):
+        """An explicit ``ServerConfig`` says nothing about granularity or
+        dtype: the server executes what ``compile()`` built.  A G=64
+        float32 model used to be recompacted from its masks at the
+        config's G=128 and fail every request."""
+        from repro.api import demo_layer_stack
+        from repro.runtime.server import ServerConfig
+
+        weights, names = demo_layer_stack("bert", scale=4, blocks=1, seed=0,
+                                          dtype=np.float32)
+        model = repro.compile(weights, granularity=64, dtype=np.float32,
+                              names=names, placement=placement)
+        rng = np.random.default_rng(1)
+        # four 16-row waves: every replica slot serves at least one
+        reqs = [rng.standard_normal((16, weights[0].shape[0])).astype(np.float32)
+                for _ in range(4)]
+        server = model.serve(ServerConfig(max_wave_rows=16), executor=executor)
+        try:
+            for x in reqs:
+                server.submit(x)
+            served = server.flush()
+        finally:
+            server.close()
+        assert [s.status for s in served] == ["ok"] * len(reqs)
+        for s, x in zip(served, reqs):
+            np.testing.assert_array_equal(s.output, model.run(x))
+        assert set(server.stats.device_gemms) == {f"{V100.name}#0", f"{T4.name}#1"}
 
 
 class TestPrice:
@@ -478,7 +517,7 @@ class TestTune:
         np.testing.assert_array_equal(
             server.serve(x).output, result.compiled.run(x)
         )
-        assert server.stats.format_misses == 0
+        assert server.stats_record()["cache"]["format_misses"] == 0
 
 
 class TestTuneFineTuning:

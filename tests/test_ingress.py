@@ -18,12 +18,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
+import repro
 from repro.runtime import (
     IngressClosed,
     ServerConfig,
     ServingLoop,
-    TWModelServer,
 )
 from repro.runtime.loadgen import (
     arrival_times,
@@ -35,23 +34,17 @@ from repro.runtime.loadgen import (
 TERMINAL = {"ok", "failed", "shed", "expired"}
 
 
-def _pruned_layer(rng, k, n, sparsity=0.5, g=8):
-    dense = rng.standard_normal((k, n))
-    step = tw_prune_step([np.abs(dense)], sparsity, TWPruneConfig(granularity=g))
-    return dense, step.col_keeps[0], step.row_masks[0]
-
-
-def _layers(seed, n_layers=2, k=24, g=8):
+def _layers(seed, n_layers=2, k=24):
     rng = np.random.default_rng(seed)
-    return [_pruned_layer(rng, k, k, g=g) for _ in range(n_layers)]
+    return [rng.standard_normal((k, k)) for _ in range(n_layers)]
 
 
-def _server(layers, **cfg_kw):
-    cfg_kw.setdefault("granularity", 8)
-    server = TWModelServer(ServerConfig(**cfg_kw))
-    for dense, ck, rm in layers:
-        server.add_layer(dense, ck, rm)
-    return server
+def _model(layers, placement=None):
+    return repro.compile(layers, sparsity=0.5, granularity=8, placement=placement)
+
+
+def _server(layers, placement=None, **cfg_kw):
+    return _model(layers, placement).serve(ServerConfig(**cfg_kw))
 
 
 def _requests(seed, n=6, rows=2, k=24):
@@ -60,9 +53,9 @@ def _requests(seed, n=6, rows=2, k=24):
 
 
 def _oracle_outputs(layers, reqs):
-    """Fault-free sequential inline drain: the bit-identity reference."""
-    server = _server(layers)
-    return [server.serve(x).output for x in reqs]
+    """Fault-free ``run()`` of every request: the bit-identity reference."""
+    model = _model(layers)
+    return [model.run(x) for x in reqs]
 
 
 def _stream(server, reqs, *, pause_every=0, max_wave_rows=None, deadline_s=None):

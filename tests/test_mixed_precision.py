@@ -29,7 +29,6 @@ from repro.kernels.fusion import (
     resolve_epilogue_spec,
 )
 from repro.kernels.masked import DTYPE_TOLERANCES
-from repro.runtime.server import ServerConfig
 
 DTYPES = ["float64", "float32", "float16", "int8"]
 
@@ -118,15 +117,11 @@ class TestDtypeMatrix:
         np.testing.assert_array_equal(_serve_async(model, x), model.run(x))
 
     def test_int8_serve_splits_storage_from_activation_dtype(self):
-        ws, _ = _stack()
+        ws, x = _stack()
         model = _compile(ws, dtype="int8")
-        server = model.serve()
-        try:
-            assert server.config.dtype == "float32"
-            assert server.config.storage_dtype == "int8"
-            assert server.config.resolved_storage_dtype == "int8"
-        finally:
-            server.close()
+        assert all(l.tw.dtype == np.int8 for l in model.layers)
+        assert model.activation_dtype == np.float32
+        assert _serve_once(model, x).dtype == np.float32
 
     def test_run_casts_activations_once_at_entry(self):
         # run() and serve() share numerics: a float64 request against a
@@ -196,56 +191,6 @@ class TestFusedEpilogues:
         from repro.cli import _info_record
 
         assert _info_record()["registries"]["epilogues"] == EPILOGUES.names()
-
-
-class TestCacheKeys:
-    """Format-cache keys must split on storage dtype, never on epilogue."""
-
-    def test_format_keys_distinct_across_storage_dtypes(self):
-        ws, x = _stack()
-        keys = {}
-        for dtype in DTYPES:
-            model = _compile(ws, dtype=dtype)
-            server = model.serve()
-            try:
-                server.submit(x)
-                server.flush()
-                keys[dtype] = {
-                    server._format_key(l) for l in server._layers
-                }
-            finally:
-                server.close()
-        flat = [k for ks in keys.values() for k in ks]
-        assert len(flat) == len(set(flat)), "format keys collided across dtypes"
-
-    def test_epilogue_shares_formats_but_not_outputs(self):
-        # compaction/planning are epilogue-independent by design: two
-        # models differing only in epilogue produce identical format keys
-        # (the artifacts are shareable) yet different outputs
-        ws, x = _stack()
-        plain = _compile(ws)
-        fused = _compile(ws, epilogue="bias_gelu")
-        s_plain, s_fused = plain.serve(), fused.serve()
-        try:
-            k_plain = [s_plain._format_key(l) for l in s_plain._layers]
-            k_fused = [s_fused._format_key(l) for l in s_fused._layers]
-            assert k_plain == k_fused
-        finally:
-            s_plain.close()
-            s_fused.close()
-        assert not np.array_equal(plain.run(x), fused.run(x))
-
-    def test_preload_rejects_mismatched_storage_dtype(self):
-        ws, _ = _stack()
-        model = _compile(ws, dtype="float16")
-        server = model.serve()
-        try:
-            tw64 = _compile(ws).layers[0].tw
-            assert server.preload(0, tw64) is False
-            tw16 = model.layers[0].tw
-            assert server.preload(0, tw16) is True
-        finally:
-            server.close()
 
 
 class TestSaveLoadRoundTrip:

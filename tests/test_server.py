@@ -1,25 +1,25 @@
-"""Tests for the TW serving layer: caches, micro-batching, stats."""
+"""Tests for the TW serving layer: compiled steps, micro-batching, stats."""
 
 import numpy as np
 import pytest
 
-from repro.core.tile_sparsity import TWPruneConfig, tw_prune_step
+import repro
 from repro.kernels.masked import tw_gemm_reference
-from repro.formats.tiled import TiledTWMatrix
-from repro.runtime import ServerConfig, ServerStats, TWModelServer, weight_fingerprint
+from repro.runtime import ServerConfig, ServerStats, TWModelServer
 
 
-def _pruned_layer(rng, k, n, sparsity=0.5, g=8):
-    dense = rng.standard_normal((k, n))
-    step = tw_prune_step([np.abs(dense)], sparsity, TWPruneConfig(granularity=g))
-    return dense, step.col_keeps[0], step.row_masks[0]
+def _weights(rng, n_layers=2, k=24):
+    return [rng.standard_normal((k, k)) for _ in range(n_layers)]
 
 
-def _server(rng, n_layers=2, k=24, g=8, **cfg_kw):
-    server = TWModelServer(ServerConfig(granularity=g, **cfg_kw))
-    for _ in range(n_layers):
-        server.add_layer(*_pruned_layer(rng, k, k, g=g))
-    return server
+def _model(weights, placement=None, dtype=np.float64):
+    return repro.compile(weights, sparsity=0.5, granularity=8,
+                         placement=placement, dtype=dtype)
+
+
+def _server(rng, n_layers=2, k=24, *, dtype=np.float64, **cfg_kw):
+    model = _model(_weights(rng, n_layers, k), dtype=dtype)
+    return model.serve(ServerConfig(**cfg_kw))
 
 
 class TestCaches:
@@ -27,120 +27,35 @@ class TestCaches:
         rng = np.random.default_rng(0)
         server = _server(rng, n_layers=3)
         server.serve(rng.standard_normal((4, 24)))
-        assert server.stats.format_misses == 3
-        assert server.stats.plan_misses == 3
-        assert server.stats.format_hits == 0
+        cache = server.stats_record()["cache"]
+        assert cache["format_hits"] == cache["plan_hits"] == 3
         server.serve(rng.standard_normal((4, 24)))
-        # the whole point of the serving layer: construction amortised away
-        assert server.stats.format_misses == 3
-        assert server.stats.plan_misses == 3
-        assert server.stats.format_hits == 3
-        assert server.stats.plan_hits == 3
-
-    def test_warm_prebuilds(self):
-        rng = np.random.default_rng(1)
-        server = _server(rng)
-        server.warm()
-        assert server.stats.format_misses == 2
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.format_misses == 2
-        assert server.stats.format_hits >= 2
-
-    def test_fingerprint_distinguishes_masks(self):
-        rng = np.random.default_rng(2)
-        dense, ck, rm = _pruned_layer(rng, 16, 16)
-        fp1 = weight_fingerprint(dense, ck, rm)
-        assert fp1 == weight_fingerprint(dense.copy(), ck.copy(), [m.copy() for m in rm])
-        flipped = ck.copy()
-        flipped[0] = not flipped[0]
-        assert fp1 != weight_fingerprint(dense, flipped, rm)
-        assert fp1 != weight_fingerprint(dense + 1.0, ck, rm)
-
-
-class TestCacheBudget:
-    def test_validation(self):
-        assert ServerConfig(cache_budget=0).cache_budget == 0
-        with pytest.raises(ValueError, match="cache_budget"):
-            ServerConfig(cache_budget=-1)
-        with pytest.raises(ValueError, match="cache_budget"):
-            ServerConfig(cache_budget=1.5)
-
-    def test_unbounded_never_evicts(self):
-        rng = np.random.default_rng(40)
-        server = _server(rng, n_layers=3)
-        server.serve(rng.standard_normal((2, 24)))
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.format_evictions == 0
-        assert server.stats.plan_evictions == 0
-
-    def test_budget_evicts_and_recomputes(self):
-        rng = np.random.default_rng(41)
-        server = _server(rng, n_layers=3, cache_budget=1)
-        server.serve(rng.standard_normal((2, 24)))
-        # each layer's fill pushed the previous layer out
-        assert server.stats.format_evictions == 2
-        assert server.stats.plan_evictions == 2
-        assert server.stats.format_misses == 3
-        server.serve(rng.standard_normal((2, 24)))
-        # nothing survives a budget of 1 across a 3-layer chain: all misses
-        assert server.stats.format_misses == 6
-        assert server.stats.format_hits == 0
-
-    def test_budget_covering_model_behaves_like_unbounded(self):
-        rng = np.random.default_rng(42)
-        server = _server(rng, n_layers=3, cache_budget=3)
-        server.serve(rng.standard_normal((2, 24)))
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.format_evictions == 0
-        assert server.stats.format_hits == 3
-
-    @pytest.mark.parametrize("executor", ["inline", "threaded"])
-    def test_tiny_budget_serving_stays_bit_identical(self, executor):
-        rng = np.random.default_rng(43)
-        layers = [_pruned_layer(rng, 24, 24) for _ in range(3)]
-        batch = rng.standard_normal((4, 24))
-
-        oracle = TWModelServer(ServerConfig(granularity=8))
-        for layer in layers:
-            oracle.add_layer(*layer)
-        want = oracle.serve(batch)
-        assert want.status == "ok"
-
-        server = TWModelServer(
-            ServerConfig(granularity=8, cache_budget=1, executor=executor)
-        )
-        for layer in layers:
-            server.add_layer(*layer)
-        try:
-            got = server.serve(batch)
-            assert got.status == "ok"
-            np.testing.assert_array_equal(got.output, want.output)
-            assert server.stats.format_evictions >= 2
-        finally:
-            server.close()
-        oracle.close()
+        # the whole point of the serving layer: every wave step reads the
+        # compiled format and plan, nothing is built per request
+        cache = server.stats_record()["cache"]
+        assert cache["format_misses"] == cache["plan_misses"] == 0
+        assert cache["format_hits"] == cache["plan_hits"] == 6
+        assert cache["format_hit_rate"] == cache["plan_hit_rate"] == 1.0
 
 
 class TestServing:
     def test_matches_reference_per_layer_chain(self):
         rng = np.random.default_rng(3)
-        server = _server(rng, n_layers=2, k=24)
+        model = _model(_weights(rng, n_layers=2, k=24))
+        server = model.serve()
         x = rng.standard_normal((5, 24))
         got = server.serve(x).output
         a = x
-        for layer in server._layers:
-            tw = TiledTWMatrix.from_masks(
-                layer.dense, 8, layer.col_keep, list(layer.row_masks)
-            )
-            a = tw_gemm_reference(a, tw)
+        for layer in model.layers:
+            a = tw_gemm_reference(a, layer.tw)
         np.testing.assert_allclose(got, a, rtol=0, atol=1e-10)
 
     def test_microbatch_outputs_match_individual_serves(self):
         rng = np.random.default_rng(4)
-        server = _server(rng, n_layers=2)
+        model = _model(_weights(rng, n_layers=2))
+        server = model.serve()
         reqs = [rng.standard_normal((int(rng.integers(1, 6)), 24)) for _ in range(5)]
-        solo = _server(np.random.default_rng(4), n_layers=2)
-        expected = [solo.serve(r).output for r in reqs]
+        expected = [model.run(r) for r in reqs]
         ids = [server.submit(r) for r in reqs]
         served = server.flush()
         assert [s.request_id for s in served] == ids
@@ -169,7 +84,7 @@ class TestServing:
 
     def test_float32_serving_dtype(self):
         rng = np.random.default_rng(7)
-        server = _server(rng, dtype="float32")
+        server = _server(rng, dtype=np.float32)
         out = server.serve(rng.standard_normal((3, 24))).output
         assert out.dtype == np.float32
 
@@ -187,32 +102,34 @@ class TestServing:
         assert st.requests_per_s() > 0
         assert st.mean_latency_s() > 0
         assert len(st.latencies_s) == 2
-        assert server.stream_imbalance()  # one diagnostic per cached plan
+        assert st.steps == 2  # one wave, one compiled step per layer
 
     def test_validation(self):
         rng = np.random.default_rng(9)
         server = _server(rng, n_layers=1, k=24)
         with pytest.raises(ValueError):
             server.submit(rng.standard_normal((2, 7)))  # wrong K
+        unchained = _model([rng.standard_normal((24, 24)),
+                            rng.standard_normal((16, 16))])
+        with pytest.raises(ValueError, match="does not chain"):
+            TWModelServer(unchained)
         with pytest.raises(ValueError):
-            server.add_layer(*_pruned_layer(rng, 7, 7))  # does not chain
-        with pytest.raises(ValueError):
-            ServerConfig(granularity=0)
+            ServerConfig(max_wave_rows=0)
         with pytest.raises(TypeError):
-            ServerConfig(dtype="not-a-dtype")
+            ServerConfig(executor=None)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"granularity": 0},
-            {"granularity": -3},
-            {"granularity": 1.5},
+            {"max_queue_rows": -1},
+            {"max_queue_rows": 1.5},
+            {"max_retries": -1},
             {"max_wave_rows": 0},
             {"max_wave_rows": -1},
             {"max_wave_rows": 2.5},
-            {"queue_timeout_s": -0.1},
-            {"queue_timeout_s": float("nan")},
-            {"queue_timeout_s": float("inf")},
+            {"retry_backoff_s": -0.1},
+            {"retry_backoff_s": float("nan")},
+            {"retry_backoff_s": float("inf")},
         ],
     )
     def test_config_numeric_validation(self, kwargs):
@@ -222,8 +139,10 @@ class TestServing:
             ServerConfig(**kwargs)
 
     def test_config_placement_type_checked(self):
+        # placement is the compiled model's, never a serving knob
         with pytest.raises(TypeError):
-            ServerConfig(placement="layer_sharded")  # must be a Placement
+            ServerConfig(placement="layer_sharded")
+        assert not hasattr(ServerConfig(), "placement")
 
     def test_config_executor_validated(self):
         assert ServerConfig(executor="threads").executor == "threaded"  # alias
@@ -246,81 +165,17 @@ class TestServing:
         assert ServerStats().parallel_efficiency() == 0.0
         assert ServerStats().measured_speedup() == 0.0
 
-    def test_max_batch_rows_alias(self):
-        assert ServerConfig(max_wave_rows=17).max_batch_rows == 17
-        # the PR 2 constructor spelling keeps working
-        assert ServerConfig(max_batch_rows=17).max_wave_rows == 17
-        with pytest.raises(ValueError, match="conflicting"):
-            ServerConfig(max_wave_rows=5, max_batch_rows=9)
-        with pytest.raises(ValueError):
-            ServerConfig(max_batch_rows=0)
-
-    def test_deadline_misses_counted(self):
-        rng = np.random.default_rng(10)
-        server = _server(rng, n_layers=1, queue_timeout_s=1e-12)
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.deadline_misses == 1
-
     def test_flush_empty_queue(self):
-        server = TWModelServer()
+        server = _server(np.random.default_rng(10))
         assert server.flush() == []
 
 
-class TestFingerprint:
-    """Regression tests for weight_fingerprint collision classes."""
-
-    def test_transpose_differs(self):
-        rng = np.random.default_rng(11)
-        w = rng.standard_normal((4, 6))
-        ck = np.ones(6, dtype=bool)
-        assert weight_fingerprint(w, ck, []) != weight_fingerprint(
-            w.T, np.ones(4, dtype=bool), []
-        )
-
-    def test_same_bytes_different_shape_differs(self):
-        # a row vector and a column vector share their raw bytes
-        v = np.arange(8.0)
-        assert weight_fingerprint(v.reshape(1, 8), np.ones(8, bool), []) != (
-            weight_fingerprint(v.reshape(8, 1), np.ones(1, bool), [])
-        )
-
-    def test_mask_boundaries_delimited(self):
-        # two K-masks vs one 2K-mask concatenate to the same bytes; the
-        # delimited hash must still tell them apart
-        rng = np.random.default_rng(12)
-        w = rng.standard_normal((4, 4))
-        ck = np.ones(4, dtype=bool)
-        m = np.array([True, False, True, True])
-        fp_two = weight_fingerprint(w, ck, [m, m])
-        fp_one = weight_fingerprint(w, ck, [np.concatenate([m, m])])
-        assert fp_two != fp_one
-
-    def test_order_normalised(self):
-        # an F-order view and its C-order copy are the same logical matrix
-        rng = np.random.default_rng(13)
-        w = rng.standard_normal((6, 4))
-        ck = np.ones(4, dtype=bool)
-        f_order = np.asfortranarray(w)
-        assert weight_fingerprint(w, ck, []) == weight_fingerprint(f_order, ck, [])
-
-    def test_dtype_distinguished(self):
-        w = np.zeros((2, 2), dtype=np.float64)
-        ck = np.ones(2, dtype=bool)
-        assert weight_fingerprint(w, ck, []) != weight_fingerprint(
-            w.astype(np.float32), ck, []
-        )
-
-
 class TestPlacementServing:
-    def _chained(self, rng, n_layers=4, k=24, g=8):
-        layers = [_pruned_layer(rng, k, k, g=g) for _ in range(n_layers)]
-        return layers
+    def _chained(self, rng, n_layers=4, k=24):
+        return _weights(rng, n_layers, k)
 
-    def _build(self, layers, config):
-        server = TWModelServer(config)
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
-        return server
+    def _build(self, weights, placement=None, **cfg_kw):
+        return _model(weights, placement=placement).serve(ServerConfig(**cfg_kw))
 
     def test_layer_sharded_matches_single(self):
         from repro.gpu.device import T4, V100
@@ -329,14 +184,8 @@ class TestPlacementServing:
         rng = np.random.default_rng(20)
         layers = self._chained(rng)
         reqs = [rng.standard_normal((3, 24)) for _ in range(4)]
-        single = self._build(layers, ServerConfig(granularity=8))
-        sharded = self._build(
-            layers,
-            ServerConfig(
-                granularity=8,
-                placement=Placement("layer_sharded", (V100, T4)),
-            ),
-        )
+        single = self._build(layers)
+        sharded = self._build(layers, Placement("layer_sharded", (V100, T4)))
         for r in reqs:
             got = sharded.serve(r).output
             want = single.serve(r).output
@@ -352,14 +201,9 @@ class TestPlacementServing:
 
         rng = np.random.default_rng(21)
         layers = self._chained(rng, n_layers=2)
-        single = self._build(layers, ServerConfig(granularity=8))
+        single = self._build(layers)
         repl = self._build(
-            layers,
-            ServerConfig(
-                granularity=8,
-                max_wave_rows=4,
-                placement=Placement("replicated", (V100, V100)),
-            ),
+            layers, Placement("replicated", (V100, V100)), max_wave_rows=4
         )
         reqs = [rng.standard_normal((4, 24)) for _ in range(4)]
         for r in reqs:
@@ -376,28 +220,11 @@ class TestPlacementServing:
     def test_executor_resolved_from_config(self):
         from repro.runtime.executor import InlineExecutor, ThreadedExecutor
 
-        assert isinstance(TWModelServer().executor, InlineExecutor)
-        threaded = TWModelServer(ServerConfig(executor="threaded", workers=3))
+        model = _model(self._chained(np.random.default_rng(22), n_layers=1))
+        assert isinstance(TWModelServer(model).executor, InlineExecutor)
+        threaded = TWModelServer(model, ServerConfig(executor="threaded", workers=3))
         assert isinstance(threaded.executor, ThreadedExecutor)
         assert threaded.executor.workers == 3
-
-    def test_warm_builds_all_shard_plans(self):
-        from repro.gpu.device import T4, V100
-        from repro.runtime.placement import Placement
-
-        rng = np.random.default_rng(22)
-        layers = self._chained(rng, n_layers=3)
-        server = self._build(
-            layers,
-            ServerConfig(
-                granularity=8,
-                placement=Placement("replicated", (V100, T4)),
-            ),
-        )
-        server.warm()
-        assert server.stats.plan_misses == 6  # 3 layers x 2 replica devices
-        server.serve(rng.standard_normal((2, 24)))
-        assert server.stats.plan_misses == 6  # serving replays the cache
 
 
 class TestExecutorInvariance:
@@ -405,13 +232,11 @@ class TestExecutorInvariance:
     for every placement, including the degenerate shapes — and the wave →
     device round-robin is deterministic across executors."""
 
-    def _chained(self, rng, n_layers, k=24, g=8):
-        return [_pruned_layer(rng, k, k, g=g) for _ in range(n_layers)]
+    def _chained(self, rng, n_layers, k=24):
+        return _weights(rng, n_layers, k)
 
-    def _serve_all(self, layers, reqs, **cfg_kw):
-        server = TWModelServer(ServerConfig(granularity=8, **cfg_kw))
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
+    def _serve_all(self, layers, reqs, placement=None, **cfg_kw):
+        server = _model(layers, placement=placement).serve(ServerConfig(**cfg_kw))
         for r in reqs:
             server.submit(r)
         return server, server.flush()
@@ -523,10 +348,8 @@ class TestExecutorInvariance:
         from repro.runtime.server import _Pending
 
         rng = np.random.default_rng(47)
-        layers = self._chained(rng, 1)
-        server = TWModelServer(ServerConfig(granularity=8, max_wave_rows=2))
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
+        model = _model(self._chained(rng, 1))
+        server = model.serve(ServerConfig(max_wave_rows=2))
         good_before = rng.standard_normal((2, 24))
         good_after = rng.standard_normal((2, 24))
         server.submit(good_before)
@@ -545,21 +368,15 @@ class TestExecutorInvariance:
         assert server.stats.gemms >= 1
         assert server.stats.wall_time_s > 0
         (req,) = server.flush(strict=True)
-        solo = TWModelServer(ServerConfig(granularity=8))
-        for dense, ck, rm in layers:
-            solo.add_layer(dense, ck, rm)
-        np.testing.assert_array_equal(req.output, solo.serve(good_after).output)
+        np.testing.assert_array_equal(req.output, model.run(good_after))
 
     def test_failed_wave_keeps_threaded_server_usable(self):
         from repro.runtime.server import _Pending
 
         rng = np.random.default_rng(48)
-        layers = self._chained(rng, 1)
-        server = TWModelServer(ServerConfig(
-            granularity=8, max_wave_rows=2, executor="threaded",
+        server = _model(self._chained(rng, 1)).serve(ServerConfig(
+            max_wave_rows=2, executor="threaded",
         ))
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
         server._pending.append(
             _Pending(rid=99, x=rng.standard_normal((2, 7)), submitted_at=0.0)
         )
@@ -575,13 +392,9 @@ class TestExecutorInvariance:
         from repro.runtime.server import _Pending
 
         rng = np.random.default_rng(49)
-        layers = self._chained(rng, 1)
+        model = _model(self._chained(rng, 1))
         reqs = [rng.standard_normal((2, 24)) for _ in range(3)]
-        server = TWModelServer(
-            ServerConfig(granularity=8, max_wave_rows=64, max_retries=1)
-        )
-        for dense, ck, rm in layers:
-            server.add_layer(dense, ck, rm)
+        server = model.serve(ServerConfig(max_wave_rows=64, max_retries=1))
         server.submit(reqs[0])
         server.submit(reqs[1])
         server._pending.append(
@@ -595,14 +408,9 @@ class TestExecutorInvariance:
         assert isinstance(by_id[999].error, ValueError)
         assert server.stats.poisoned == 1
         assert server.stats.retries >= 1
-        solo = TWModelServer(ServerConfig(granularity=8))
-        for dense, ck, rm in layers:
-            solo.add_layer(dense, ck, rm)
         for rid, x in zip(sorted(r for r in by_id if r != 999), reqs):
             assert by_id[rid].status == "ok"
-            np.testing.assert_array_equal(
-                by_id[rid].output, solo.serve(x).output
-            )
+            np.testing.assert_array_equal(by_id[rid].output, model.run(x))
 
     @pytest.mark.parametrize("executor", ["inline", "threaded"])
     def test_mid_stream_failure_matches_fault_free_inline(self, executor):
@@ -621,21 +429,13 @@ class TestExecutorInvariance:
             Placement("replicated", (V100, T4)),
             Placement("layer_sharded", (V100, T4)),
         ]
-        # fault-free inline oracle
-        oracle = TWModelServer(ServerConfig(granularity=8))
-        for dense, ck, rm in layers:
-            oracle.add_layer(dense, ck, rm)
-        want = {}
-        for x in reqs:
-            req = oracle.serve(x)
-            want[req.request_id] = req.output
+        # fault-free oracle
+        oracle = _model(layers)
+        want = {i: oracle.run(x) for i, x in enumerate(reqs)}
         for placement in placements:
-            server = TWModelServer(ServerConfig(
-                granularity=8, max_wave_rows=2, executor=executor,
-                placement=placement, max_retries=1,
+            server = _model(layers, placement=placement).serve(ServerConfig(
+                max_wave_rows=2, executor=executor, max_retries=1,
             ))
-            for dense, ck, rm in layers:
-                server.add_layer(dense, ck, rm)
             rids = [server.submit(x) for x in reqs[:2]]
             # poison injected mid-stream, then more good requests
             server._pending.append(
@@ -662,14 +462,10 @@ class TestExecutorInvariance:
         layers = self._chained(rng, 2)
         reqs = [rng.standard_normal((2, 24)) for _ in range(5)]
 
+        model = _model(layers, placement=Placement("replicated", (V100, V100)))
         outs = {}
         for executor in ("inline", "threaded"):
-            server = TWModelServer(ServerConfig(
-                granularity=8, executor=executor, max_wave_rows=2,
-                placement=Placement("replicated", (V100, V100)),
-            ))
-            for dense, ck, rm in layers:
-                server.add_layer(dense, ck, rm)
+            server = model.serve(ServerConfig(executor=executor, max_wave_rows=2))
             served = []
             for i, r in enumerate(reqs):
                 server.submit(r)
@@ -708,10 +504,7 @@ class TestExecutorInvariance:
                 for m in (16, 16, 5, 16)]
         outs = {}
         for executor in ("inline", "threaded"):
-            server = model.serve(ServerConfig(
-                granularity=64, dtype="float32", placement=placement,
-                executor=executor, max_wave_rows=16,
-            ))
+            server = model.serve(ServerConfig(executor=executor, max_wave_rows=16))
             try:
                 for r in reqs:
                     server.submit(r)
