@@ -86,6 +86,7 @@ from repro.runtime.engine import (
     LayerPlan,
     engine_for_dtype,
 )
+from repro.runtime.executor import WaveStep
 from repro.runtime.placement import Placement, resolve_placement
 from repro.runtime.scheduler import ExecutionPlan, build_execution_plan
 from repro.runtime.server import ServerConfig, TWModelServer
@@ -219,6 +220,7 @@ class CompiledTWModel:
         self.placement = placement
         self.model_name = model_name
         self._price_shapes = price_shapes
+        self._wave_steps: dict[tuple[int, ...], tuple[WaveStep, ...]] = {}
         if achieved_sparsity is None:
             total = sum(l.shape[0] * l.shape[1] for l in layers) or 1
             kept = sum((1.0 - l.sparsity) * l.shape[0] * l.shape[1] for l in layers)
@@ -395,10 +397,51 @@ class CompiledTWModel:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
+    def wave_steps(self, wave_index: int = 0) -> tuple[WaveStep, ...]:
+        """Each layer's step in wave ``wave_index``; :meth:`run` runs wave 0.
+
+        The server runs these same
+        :class:`~repro.runtime.executor.WaveStep` objects.  Each holds the
+        layer's format and the plan of the slot
+        :meth:`~repro.runtime.placement.Placement.wave_slots` assigns it
+        (or the mask-expanded weight of a non-TW layer), its epilogue and
+        its live input rows (:func:`~repro.kernels.masked.live_rows`).
+        Built on first use, memoised per distinct slot assignment.
+        """
+        slots = tuple(self.placement.wave_slots(wave_index, self.n_layers))
+        steps = self._wave_steps.get(slots)
+        if steps is None:  # racing builders store equal steps
+            steps = self._wave_steps[slots] = self._build_wave_steps(slots)
+        return steps
+
+    def _build_wave_steps(self, slots: tuple[int, ...]) -> tuple[WaveStep, ...]:
+        self._require_weights("execute")
+        devices = self.placement.devices
+        labels = self.placement.device_labels()
+        steps = []
+        rows = None  # input features the previous layer can write
+        for i, (l, slot) in enumerate(zip(self.layers, slots)):
+            if i and l.shape[0] != self.layers[i - 1].shape[1]:
+                raise ValueError(
+                    f"layer {i} K={l.shape[0]} does not chain onto layer "
+                    f"{i - 1} N={self.layers[i - 1].shape[1]}"
+                )
+            steps.append(
+                WaveStep(
+                    layer=i, tw=l.tw, plan=l.plans.get(devices[slot]),
+                    slot=slot, label=labels[slot], epilogue=l.epilogue,
+                    rows=rows,
+                    weight=l.masked_dense() if l.tw is None else None,
+                )
+            )
+            rows = live_rows(l.tw, l.epilogue)
+        return tuple(steps)
+
     def run(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` through the compiled layer stack.
 
-        TW layers execute as one GEMM each over the tiles of the compiled
+        Executes ``wave_steps(0)``, the steps the server runs too.  TW
+        layers execute as one GEMM each over the tiles of the compiled
         per-device plans (bit-identical to the hand-wired
         ``tw_prune → from_masks → build_execution_plan → tw_gemm``
         pipeline); mask-only patterns execute dense GEMM against the
@@ -406,15 +449,22 @@ class CompiledTWModel:
         :class:`~repro.kernels.fusion.EpilogueSpec` applies its *fused*
         epilogue right after the GEMM (the layer's own input serves as the
         residual stream for residual epilogues) — bit-identical in float64
-        to the unfused ``*_reference`` composition.  A TW layer after a TW
-        layer reduces only over the input features that layer can write
-        (:func:`~repro.kernels.masked.live_rows`), the same rows the
-        server's wave steps carry.
+        to the unfused ``*_reference`` composition.
 
         Activations are cast once, at entry, to
         :attr:`activation_dtype`, which the server casts to as well, so
         ``run`` and ``serve`` execute the same numerics and stay
         bit-identical.
+        """
+        return self._forward(x)
+
+    def _forward(
+        self, x: np.ndarray, residuals: Sequence[CSCMatrix] | None = None
+    ) -> np.ndarray:
+        """:meth:`run`, plus a TEW CSC residual per layer when given.
+
+        A residual writes columns the TW part pruned, so every layer then
+        reduces over its full ``K``, not the step's live rows.
         """
         self._require_weights("run")
         a = np.atleast_2d(np.asarray(x))
@@ -424,22 +474,19 @@ class CompiledTWModel:
             raise ValueError(
                 f"input K={a.shape[1]} != model K={self.layers[0].shape[0]}"
             )
-        n = self.n_layers
-        rows = None  # input features the previous layer can write
-        for i, l in enumerate(self.layers):
-            if i and l.shape[0] != self.layers[i - 1].shape[1]:
-                raise ValueError(
-                    f"layer {i} K={l.shape[0]} does not chain onto layer "
-                    f"{i - 1} N={self.layers[i - 1].shape[1]}"
-                )
-            if l.tw is not None:
-                device = self.placement.device_for_layer(i, n)
-                y = tw_gemm(a, l.tw, plan=l.plans.get(device), rows=rows)
-            else:
+        for step in self.wave_steps(0):
+            if step.tw is None:
                 # the GEMM helper tw_gemm uses: same BLAS orientation
-                y = host_gemm(a, l.masked_dense())
-            a = apply_epilogue(y, l.epilogue, residual=a) if l.epilogue else y
-            rows = live_rows(l.tw, l.epilogue)
+                y = host_gemm(a, step.weight)
+            elif residuals is None:
+                y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows)
+            else:
+                # the CSC payload is float64: add in float64, keep y's dtype
+                y = tw_gemm(a, step.tw, plan=step.plan)
+                y = (y + csc_left_spmm(a, residuals[step.layer])).astype(
+                    y.dtype, copy=False
+                )
+            a = apply_epilogue(y, step.epilogue, residual=a) if step.epilogue else y
         return a
 
     def serve(
@@ -1045,21 +1092,13 @@ class TuneResult:
     def run(self, x: np.ndarray) -> np.ndarray:
         """Forward ``x`` through the tuned model.
 
-        Plain sessions delegate to ``compiled.run`` (bit-identical to the
-        hand-wired ``TWPruner``/mask-rule chain); TEW sessions add the
-        CSC residual pass per layer, exploiting linearity exactly as the
-        paper's CUDA-core overlay kernel does (§IV-A).
+        Plain sessions run exactly ``compiled.run`` (bit-identical to the
+        hand-wired ``TWPruner``/mask-rule chain); TEW sessions run the
+        same forward and add the CSC residual pass per layer, exploiting
+        linearity exactly as the paper's CUDA-core overlay kernel does
+        (§IV-A).
         """
-        if self.residuals is None:
-            return self.compiled.run(x)
-        a = np.atleast_2d(np.asarray(x))
-        n = self.compiled.n_layers
-        for i, l in enumerate(self.compiled.layers):
-            device = self.compiled.placement.device_for_layer(i, n)
-            a = tw_gemm(a, l.tw, plan=l.plans.get(device)) + csc_left_spmm(
-                a, self.residuals[i]
-            )
-        return a
+        return self.compiled._forward(x, self.residuals)
 
     def save(self, path: str | Path) -> Path:
         """Persist the tuned model via :meth:`CompiledTWModel.save`.

@@ -544,7 +544,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["placement", f"{placement.kind} x{placement.n_devices}"],
         ["executor", server.executor.describe()],
         ["shard layout", " ".join(
-            f"{name}:{n}" for name, n in _shard_counts(server.shard_layout())
+            f"{name}:{n}" for name, n in _shard_counts(model.shard_layout())
         )],
         ["requests", st.requests],
         ["rows", st.rows],

@@ -34,17 +34,16 @@ entry, not a new dispatch path in the server.
 Determinism contract
 --------------------
 Outputs are **bit-identical across executors**: each wave's layer chain is
-a fixed sequence of :func:`~repro.kernels.masked.tw_gemm` calls on the
-same operands, plans and ``rows`` regardless of which thread runs them,
-and waves never share mutable state (the operand memos on frozen weights
-are value-deterministic, so racing builders write identical entries).
-Only *wall-time* and the measured busy stats differ.  ``rows`` — the
-input features a step's GEMM reduces over — is static per step: the
-server fixes it on each :class:`WaveStep` from the model when it builds
-the wave, and executors only pass it through.  It must never be derived
-from how a wave is split into per-worker segments: a segment that
-restarted the chain with ``rows=None`` would sum over a different ``K``
-than ``inline`` and change the output bits.
+a fixed sequence of GEMMs on the same operands, plans and ``rows``
+regardless of which thread runs them, and waves never share mutable state
+(the operand memos on frozen weights are value-deterministic, so racing
+builders write identical entries).  Only *wall-time* and the measured
+busy stats differ.  ``rows`` — the input features a step's GEMM reduces
+over — is static per step: :meth:`repro.api.CompiledTWModel.wave_steps`
+fixes it on each :class:`WaveStep`, and executors only pass it through.
+It must never be derived from how a wave is split into per-worker
+segments: a segment that restarted the chain with ``rows=None`` would sum
+over a different ``K`` than ``inline`` and change the output bits.
 
 Fault tolerance (ISSUE 6)
 -------------------------
@@ -73,7 +72,7 @@ import numpy as np
 
 from repro.formats.tiled import TiledTWMatrix
 from repro.kernels.fusion import EpilogueSpec, apply_epilogue
-from repro.kernels.masked import tw_gemm
+from repro.kernels.masked import host_gemm, tw_gemm
 from repro.patterns.registry import Registry
 from repro.runtime.faults import FaultInjector
 from repro.runtime.scheduler import ExecutionPlan
@@ -97,14 +96,15 @@ EXECUTORS = Registry("executor")
 class WaveStep:
     """One layer of one wave, tagged with the device slot that runs it.
 
-    The placement emits the ``(layer, slot)`` mapping; the server builds
-    each layer's step per slot once, from the compiled model's format and
-    plan; the executor only ever consumes these finished work items.
+    Built only by :meth:`repro.api.CompiledTWModel.wave_steps`; ``run()``
+    and every executor consume the same steps.  A dense or mask-only
+    layer carries its mask-expanded ``weight`` (``tw``/``plan`` are
+    ``None``) and runs as one :func:`~repro.kernels.masked.host_gemm`.
     """
 
     layer: int
-    tw: TiledTWMatrix
-    plan: ExecutionPlan
+    tw: TiledTWMatrix | None
+    plan: ExecutionPlan | None
     slot: int
     label: str
     #: optional fused non-GEMM consumer applied right after this step's
@@ -113,8 +113,10 @@ class WaveStep:
     epilogue: EpilogueSpec | None = None
     #: the input features this step's GEMM reduces over
     #: (:func:`~repro.kernels.masked.live_rows` of the previous layer;
-    #: ``None`` = all of ``K``), fixed when the wave is built
+    #: ``None`` = all of ``K``), fixed when the step is built
     rows: np.ndarray | None = None
+    #: the mask-expanded dense weight of a layer without a TW format
+    weight: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -171,17 +173,21 @@ def _execute_steps(
     """Run ``steps`` sequentially on ``a``, timing slot occupancy.
 
     Shared by both executors so the math — and therefore the output bits —
-    cannot diverge between them.  The optional fault injector is consulted
-    *inside* the timed region before each GEMM: an injected exception
-    fires before the math runs (a failing kernel launch), and an injected
-    latency spike shows up in the slot's busy accounting like any real
-    slow step would.
+    cannot diverge between them; it is the per-step math of
+    :meth:`repro.api.CompiledTWModel.run`, plus timing and fault sites.
+    The optional fault injector is consulted *inside* the timed region
+    before each GEMM: an injected exception fires before the math runs (a
+    failing kernel launch), and an injected latency spike shows up in the
+    slot's busy accounting like any real slow step would.
     """
     for step in steps:
         t0 = time.perf_counter()
         if faults is not None:
             faults.before_step(wave_index, step.layer, step.slot)
-        y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows)
+        if step.tw is None:
+            y = host_gemm(a, step.weight)
+        else:
+            y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows)
         if step.epilogue is not None:
             y = apply_epilogue(y, step.epilogue, residual=a)
         a = y

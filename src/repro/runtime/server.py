@@ -8,10 +8,11 @@ pre-processing); after that, inference only runs the tiled GEMM.
 :class:`~repro.runtime.scheduler.ExecutionPlan`\\ s ``compile()`` already
 built, so every request only pays the batched GEMMs:
 
-- **Compiled steps**: the server fixes each layer's format, plan per
-  device slot, epilogue and live input rows once, at construction.  A
-  wave only picks the step of the slot that runs each layer; nothing is
-  compacted or planned while serving.
+- **Compiled steps**: every wave executes the model's own
+  :meth:`~repro.api.CompiledTWModel.wave_steps` — the same step objects
+  ``run()`` executes, each layer's format (or mask-expanded weight), plan
+  per device slot, epilogue and live input rows.  Nothing is compacted
+  or planned while serving.
 - **Micro-batching**: concurrent requests' activations stack into one
   matrix, so each layer runs *one* batched GEMM for the whole wave instead
   of one per request (``submit`` + ``flush``; ``serve`` is the
@@ -37,16 +38,14 @@ built, so every request only pays the batched GEMMs:
   isolated after retries/bisection), ``shed`` (backpressure) or
   ``expired`` (deadline passed before execution).  ``flush()`` retries
   failed waves up to ``max_retries`` and bisects deterministically
-  failing waves so one poison request cannot take down its wave-mates;
-  ``flush(strict=True)`` keeps the legacy fail-fast contract (first error
-  raises, failed wave's requests are dropped, tail stays queued).
+  failing waves so one poison request cannot take down its wave-mates.
   ``ServerConfig(faults=...)`` wires a deterministic
   :class:`~repro.runtime.faults.FaultInjector` through every wave for
   chaos testing and recovery benchmarks.
 
-Execution order inside a layer follows the compiled plan's stream issue
-order, so what the cost model prices (plan → batch → stream) is exactly
-what executes.
+Each TW layer runs as one GEMM over the tiles of its compiled plan
+(:func:`~repro.kernels.masked.tw_gemm`); the plan's stream order is what
+the cost model prices, not an execution order.
 """
 
 from __future__ import annotations
@@ -60,13 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kernels.masked import live_rows
-from repro.runtime.executor import (
-    EXECUTORS,
-    WaveStep,
-    WaveTask,
-    resolve_executor,
-)
+from repro.runtime.executor import EXECUTORS, WaveTask, resolve_executor
 from repro.runtime.faults import FaultInjector, resolve_faults
 
 if TYPE_CHECKING:
@@ -111,9 +104,8 @@ class ServerConfig:
         slot).  Passing it with an executor that has no workers
         (``inline``) is an error, not a silent no-op.
     max_retries:
-        Re-execution budget per failed wave group in a graceful
-        ``flush()`` (``0`` = no retries, failures go straight to
-        bisection/poison handling).  Ignored under ``flush(strict=True)``.
+        Re-execution budget per failed wave group in ``flush()`` (``0`` =
+        no retries, failures go straight to bisection/poison handling).
     retry_backoff_s:
         Base sleep before a failed group re-runs, doubled per attempt
         (``backoff × 2^(attempt-1)``).  ``0`` (default) retries
@@ -201,7 +193,7 @@ class ServedRequest:
     """One *terminal* request: output (when served) plus observed latency.
 
     ``status`` is the terminal disposition every submitted request is
-    guaranteed to reach under a graceful ``flush()``:
+    guaranteed to reach under ``flush()``:
 
     - ``"ok"``      — served; ``output`` holds the result rows.
     - ``"failed"``  — the request failed deterministically even alone
@@ -249,8 +241,8 @@ class ServerStats:
     rows: int = 0
     batches: int = 0
     gemms: int = 0
-    #: wave steps built, each from a compiled format and plan (every wave
-    #: contributes one per layer, retried waves included)
+    #: wave steps executed, each reading a compiled format and plan (every
+    #: wave contributes one per layer, retried waves included)
     steps: int = 0
     busy_s: float = 0.0
     #: measured wall-clock seconds spent inside executor runs (``flush``);
@@ -258,7 +250,7 @@ class ServerStats:
     #: difference is realised overlap, not modeled headroom
     wall_time_s: float = 0.0
     latency_total_s: float = 0.0
-    #: wave-group re-executions after a failure (graceful ``flush`` only)
+    #: wave-group re-executions after a failure
     retries: int = 0
     #: requests put back in the work queue by a retry or bisection
     requeues: int = 0
@@ -410,49 +402,27 @@ class _Pending:
 
 
 class TWModelServer:
-    """Serve a compiled TW model's layer stack with micro-batched waves.
+    """Serve a compiled model's layer stack with micro-batched waves.
 
-    A request's activations flow through every layer in order; pruned
-    output columns are exact zeros, so chaining is closed under TW
-    execution.  Outputs are bit-identical to
-    :meth:`repro.api.CompiledTWModel.run` on the same rows.
+    Every executable compilation serves: TW layers run ``tw_gemm`` and
+    dense or mask-only layers their mask-expanded weight.  A request's
+    activations flow through every layer in order.  Outputs are
+    bit-identical to :meth:`repro.api.CompiledTWModel.run` on the same
+    rows.
     """
 
     def __init__(
         self, model: CompiledTWModel, config: ServerConfig | None = None
     ) -> None:
         model._require_weights("serve")
-        if any(l.tw is None for l in model.layers):
-            raise ValueError(
-                f"serving requires the TW pattern; this model was compiled "
-                f"with pattern={model.pattern!r}"
-            )
-        for i in range(1, model.n_layers):
-            if model.layers[i].shape[0] != model.layers[i - 1].shape[1]:
-                raise ValueError(
-                    f"layer {i} K={model.layers[i].shape[0]} does not chain "
-                    f"onto layer {i - 1} N={model.layers[i - 1].shape[1]}"
-                )
+        # build the first wave's steps now: a model that cannot execute
+        # (layers that do not chain) fails here, not on every request
+        model.wave_steps(0)
+        self.model = model
         self.config = config or ServerConfig()
         self.placement = model.placement
         self.model_k = model.layers[0].shape[0]
         self._dtype = model.activation_dtype
-        # every layer's step for every device slot that holds a plan for
-        # it: a wave only picks the step of the slot the placement assigns
-        devices = self.placement.devices
-        labels = self.placement.device_labels()
-        self._steps: list[dict[int, WaveStep]] = []
-        rows = None  # input features the previous layer can write
-        for i, l in enumerate(model.layers):
-            self._steps.append({
-                slot: WaveStep(
-                    layer=i, tw=l.tw, plan=l.plans[device], slot=slot,
-                    label=labels[slot], epilogue=l.epilogue, rows=rows,
-                )
-                for slot, device in enumerate(devices)
-                if device in l.plans
-            })
-            rows = live_rows(l.tw, l.epilogue)
         self.executor = resolve_executor(
             self.config.executor,
             workers=self.config.workers,
@@ -467,15 +437,6 @@ class TWModelServer:
         self._shed_buffer: list[ServedRequest] = []
         self._next_id = 0
         self._batch_id = 0
-
-    @property
-    def n_layers(self) -> int:
-        """Served layers."""
-        return len(self._steps)
-
-    def shard_layout(self) -> list[str]:
-        """Device slot (``name#index``) owning each layer under the placement."""
-        return self.placement.shard_labels(self.n_layers)
 
     # ------------------------------------------------------------------ #
     # serving
@@ -563,7 +524,7 @@ class TWModelServer:
         self._queued_rows += rows
         return rid
 
-    def flush(self, strict: bool = False) -> list[ServedRequest]:
+    def flush(self) -> list[ServedRequest]:
         """Run every queued request as micro-batched GEMMs (one per layer).
 
         Waves larger than ``max_wave_rows`` split into successive
@@ -575,19 +536,17 @@ class TWModelServer:
         under ``inline``, overlapped across slots under ``threaded``.
         Outputs are bit-identical across executors.
 
-        **Graceful mode (default).**  Every queued request reaches a
-        terminal :attr:`ServedRequest.status` and nothing raises: expired
-        requests are shed before any GEMM runs for them; a failed wave
-        retries up to ``max_retries`` (with exponential
-        ``retry_backoff_s``); a wave still failing after its budget is
-        *bisected* so a deterministically-failing poison request
-        terminates alone with ``status="failed"`` instead of taking down
-        its wave-mates.  Results are returned sorted by request id.
-
-        **Strict mode** (``strict=True``) preserves the legacy fail-fast
-        contract: no retries, the first wave error re-raises after
-        accounting, the failed wave's requests are dropped, and the
-        unconsumed tail stays queued for a later flush.
+        Every queued request reaches a terminal
+        :attr:`ServedRequest.status` and nothing raises: expired requests
+        are shed before any GEMM runs for them; a failed wave retries up
+        to ``max_retries`` (with exponential ``retry_backoff_s``); a wave
+        still failing after its budget is *bisected* so a
+        deterministically-failing poison request terminates alone with
+        ``status="failed"`` instead of taking down its wave-mates.
+        Retried waves get *fresh* wave indices, so transient faults
+        (wave-pinned injections, flaky workers) clear on retry; total work
+        is bounded by ``O(n · max_retries · log n)`` wave executions.
+        Results are returned sorted by request id.
         """
         served: list[ServedRequest] = list(self._shed_buffer)
         self._shed_buffer.clear()
@@ -595,7 +554,7 @@ class TWModelServer:
             served.sort(key=lambda r: r.request_id)
             return served
         # drain the queue into wave groups: shortest-deadline-first; the
-        # sort is stable, so deadline-free traffic stays strictly FIFO
+        # sort is stable, so deadline-free traffic keeps its FIFO order
         ordered = sorted(
             self._pending,
             key=lambda p: (
@@ -616,113 +575,9 @@ class TWModelServer:
             rows += r
         if group:
             work.append(group)
-        if strict:
-            self._flush_strict(work, served)
-        else:
-            self._flush_graceful(work, served)
-        served.sort(key=lambda r: r.request_id)
-        return served
-
-    def _run_waves(
-        self,
-        work: deque[list[_Pending]],
-        waves: list[list[_Pending]],
-        wave_ids: list[int],
-        *,
-        shed_expired_into: list[ServedRequest] | None = None,
-        build_failures: list | None = None,
-    ):
-        """One executor pass over the current work queue (lazy stream).
-
-        Waves are built as the executor admits them: requests leave
-        ``work`` one group at a time (bounded peak memory), and when
-        execution fails the executor stops pulling — the unconsumed tail
-        stays on ``work`` for the caller.  Waves are built on the driver
-        thread inside ``_wave_task``, so ``busy_s`` times GEMM execution
-        only.
-        """
-
-        def task_stream():
-            while work:
-                g = work.popleft()
-                if shed_expired_into is not None:
-                    g = self._shed_expired(g, shed_expired_into)
-                    if not g:
-                        continue
-                try:
-                    task = self._wave_task(g)
-                except Exception as exc:
-                    # wave assembly itself failed (e.g. a malformed
-                    # request breaks the concatenate): route the group
-                    # through the caller's failure handling instead of
-                    # blowing up the whole flush
-                    if build_failures is None:
-                        raise
-                    build_failures.append((g, exc))
-                    continue
-                waves.append(g)
-                wave_ids.append(task.index)
-                yield task
-
-        stream = task_stream()
-        first = next(stream, None)
-        if first is None:  # everything left had already expired
-            return []
-        t0 = time.perf_counter()
-        results = self.executor.run(itertools.chain((first,), stream))
-        self.stats.wall_time_s += time.perf_counter() - t0
-        return results
-
-    def _flush_strict(
-        self, work: deque[list[_Pending]], served: list[ServedRequest]
-    ) -> None:
-        """Legacy fail-fast path: first error raises, tail stays queued."""
-        waves: list[list[_Pending]] = []
-        wave_ids: list[int] = []
-        try:
-            results = self._run_waves(work, waves, wave_ids)
-        finally:
-            for g in work:  # unconsumed tail back onto the queue
-                for p in g:
-                    self._pending.append(p)
-                    self._queued_rows += p.x.shape[0]
-            work.clear()
-        first_error: BaseException | None = None
-        for g, batch_id, result in zip(waves, wave_ids, results):
-            self._merge_accounting(result)
-            if result.error is not None:
-                if first_error is None:
-                    first_error = result.error
-                continue  # this wave's requests are lost; tail stays queued
-            self._emit_ok(g, batch_id, result, served)
-        if first_error is not None:
-            raise first_error
-
-    def _flush_graceful(
-        self, work: deque[list[_Pending]], served: list[ServedRequest]
-    ) -> None:
-        """Retry/bisect until every request reaches a terminal status.
-
-        Each failed group retries whole up to ``max_retries`` — retried
-        waves get *fresh* wave indices, so transient faults (wave-pinned
-        injections, flaky workers) clear on retry.  A group that exhausts
-        its budget with more than one request is bisected (fresh budgets
-        per half); a single request that still fails is the poison and
-        terminates alone.  Total work is bounded by
-        ``O(n · max_retries · log n)`` wave executions.
-        """
         while work:
-            waves: list[list[_Pending]] = []
-            wave_ids: list[int] = []
-            build_failures: list[tuple[list[_Pending], BaseException]] = []
-            results = self._run_waves(
-                work,
-                waves,
-                wave_ids,
-                shed_expired_into=served,
-                build_failures=build_failures,
-            )
-            for g, batch_id, result in zip(waves, wave_ids, results):
+            waves, results, build_failures = self._run_waves(work, served)
+            for (g, batch_id), result in zip(waves, results):
                 self._merge_accounting(result)
                 if result.error is None:
                     self._emit_ok(g, batch_id, result, served)
@@ -732,6 +587,52 @@ class TWModelServer:
                 )
             for g, exc in build_failures:
                 self._handle_failed_group(g, exc, -1, 0.0, work, served)
+        served.sort(key=lambda r: r.request_id)
+        return served
+
+    def _run_waves(
+        self, work: deque[list[_Pending]], served: list[ServedRequest]
+    ) -> tuple[list, list, list]:
+        """One executor pass over the current work queue (lazy stream).
+
+        Waves are built as the executor admits them: requests leave
+        ``work`` one group at a time (bounded peak memory), and when
+        execution fails the executor stops pulling — the unconsumed tail
+        stays on ``work`` for the caller.  Expired requests are shed into
+        ``served`` before their wave forms.  Returns the ``(group, wave
+        index)`` of every executed wave, their results, and the
+        ``(group, error)`` of every group whose wave could not be
+        assembled.  Waves are built on the driver thread inside
+        ``_wave_task``, so ``busy_s`` times GEMM execution only.
+        """
+        waves: list[tuple[list[_Pending], int]] = []
+        build_failures: list[tuple[list[_Pending], BaseException]] = []
+
+        def task_stream():
+            while work:
+                g = self._shed_expired(work.popleft(), served)
+                if not g:
+                    continue
+                try:
+                    task = self._wave_task(g)
+                except Exception as exc:
+                    # wave assembly itself failed (e.g. a malformed
+                    # request breaks the concatenate): route the group
+                    # through the failure handling instead of blowing up
+                    # the whole flush
+                    build_failures.append((g, exc))
+                    continue
+                waves.append((g, task.index))
+                yield task
+
+        stream = task_stream()
+        first = next(stream, None)
+        if first is None:  # everything left had expired or failed to build
+            return waves, [], build_failures
+        t0 = time.perf_counter()
+        results = self.executor.run(itertools.chain((first,), stream))
+        self.stats.wall_time_s += time.perf_counter() - t0
+        return waves, results, build_failures
 
     def _handle_failed_group(
         self,
@@ -908,13 +809,13 @@ class TWModelServer:
     def _wave_task(self, wave: list[_Pending]) -> WaveTask:
         """One wave as device-tagged work items.
 
-        Each layer contributes the step built at construction for the slot
-        the placement assigns it, so every executor and segment split runs
-        the same format, plan and live input rows.
+        The steps are the model's own
+        :meth:`~repro.api.CompiledTWModel.wave_steps` for this wave, so
+        every executor, segment split and ``run()`` execute the same
+        format, plan and live input rows per layer.
         """
         batch = np.concatenate([p.x for p in wave], axis=0)
-        slots = self.placement.wave_slots(self._batch_id, self.n_layers)
-        steps = tuple(by_slot[slot] for by_slot, slot in zip(self._steps, slots))
+        steps = self.model.wave_steps(self._batch_id)
         self.stats.steps += len(steps)
         task = WaveTask(
             index=self._batch_id,

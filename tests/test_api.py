@@ -249,12 +249,16 @@ class TestPlacement:
         )
         server = model.serve()
         out = server.serve(x).output
-        # the server executes the compiled formats and per-shard plans
-        # themselves: nothing is recompacted or replanned
-        for layer, by_slot in zip(model.layers, server._steps):
-            for step in by_slot.values():
-                assert step.tw is layer.tw
-                assert step.plan is layer.plans[model.placement.devices[step.slot]]
+        # the server executes the model's own wave steps, which carry the
+        # compiled formats and per-shard plans themselves: nothing is
+        # recompacted or replanned, and every wave reuses one step tuple
+        steps = model.wave_steps(0)
+        assert server.model is model
+        assert model.wave_steps(1) is steps
+        assert [s.slot for s in steps] == [0, 0, 1]
+        for layer, step in zip(model.layers, steps):
+            assert step.tw is layer.tw
+            assert step.plan is layer.plans[model.placement.devices[step.slot]]
         cache = server.stats_record()["cache"]
         assert cache["format_misses"] == cache["plan_misses"] == 0
         np.testing.assert_array_equal(out, model.run(x))
@@ -445,6 +449,29 @@ class TestTune:
         for layer, union in zip(result.compiled.layers, result.masks):
             want = want @ (layer.dense * union)
         np.testing.assert_array_equal(result.run(x), want)
+
+    def test_tew_run_keeps_the_compiled_activation_dtype(self, stack):
+        """TEW runs the same forward as ``compiled.run``: float64 input to
+        a float32 tune is cast once at entry, so both return float32, and
+        the two-pass output stays within the float32 tolerance of the
+        union-masked dense oracle."""
+        from repro.kernels.masked import DTYPE_TOLERANCES
+
+        weights, x = stack
+        result = repro.tune(
+            [w.astype(np.float32) for w in weights], pattern="tew",
+            sparsity=0.5, granularity=8, n_stages=2, importance="magnitude",
+            tew=0.05, dtype=np.float32,
+        )
+        got = result.run(x)
+        assert got.dtype == result.compiled.run(x).dtype == np.float32
+        want = x
+        for layer, union in zip(result.compiled.layers, result.masks):
+            want = want @ (layer.dense.astype(np.float64) * union)
+        tol = DTYPE_TOLERANCES["float32"]
+        np.testing.assert_allclose(
+            got, want.astype(np.float32), rtol=tol["rtol"], atol=tol["atol"]
+        )
 
     def test_tew_sugar_defaults_delta(self, stack):
         weights, _ = stack

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro.kernels.masked import tw_gemm_reference
+from repro.kernels.masked import FEATURE_MAJOR_MIN_ROWS, tw_gemm_reference
 from repro.runtime import ServerConfig, ServerStats, TWModelServer
 
 
@@ -190,7 +192,7 @@ class TestPlacementServing:
             got = sharded.serve(r).output
             want = single.serve(r).output
             np.testing.assert_array_equal(got, want)  # bit-identical
-        assert set(sharded.shard_layout()) == {"Tesla V100-SXM2#0", "Tesla T4#1"}
+        assert set(sharded.model.shard_layout()) == {"Tesla V100-SXM2#0", "Tesla T4#1"}
         assert set(sharded.stats.device_gemms) == {"Tesla V100-SXM2#0", "Tesla T4#1"}
         assert sharded.stats.device_gemms["Tesla V100-SXM2#0"] == 8  # 2 layers x 4 waves
         assert sharded.stats.critical_path_s() <= sharded.stats.busy_s
@@ -341,10 +343,10 @@ class TestExecutorInvariance:
         )
 
     def test_failed_wave_leaves_tail_queued_inline(self):
-        """A wave that errors mid-flush must not swallow the queue: under
-        ``strict=True`` the executor pulls waves lazily, so unconsumed
-        requests survive for a retry flush (inline pulls one at a time ->
-        deterministic tail)."""
+        """A wave that errors mid-flush must not swallow the queue: inline
+        stops pulling at the failed wave, the unconsumed tail stays queued
+        for the flush's next pass, and the poison request ends alone as
+        ``failed`` while the requests before and after it are served."""
         from repro.runtime.server import _Pending
 
         rng = np.random.default_rng(47)
@@ -352,38 +354,50 @@ class TestExecutorInvariance:
         server = model.serve(ServerConfig(max_wave_rows=2))
         good_before = rng.standard_normal((2, 24))
         good_after = rng.standard_normal((2, 24))
-        server.submit(good_before)
+        before = server.submit(good_before)
         # a poison wave: bypass submit()'s K check so tw_gemm raises
         server._pending.append(
             _Pending(rid=99, x=rng.standard_normal((2, 7)), submitted_at=0.0)
         )
-        server.submit(good_after)
-        with pytest.raises(ValueError):
-            server.flush(strict=True)
-        # the wave after the poison one was never pulled: still queued
-        assert len(server._pending) == 1
-        # the completed wave's work is accounted even though flush raised
-        assert server.stats.batches == 1
-        assert server.stats.requests == 1
-        assert server.stats.gemms >= 1
+        after = server.submit(good_after)
+        by_id = {s.request_id: s for s in server.flush()}
+        assert set(by_id) == {before, 99, after}
+        assert by_id[99].status == "failed"
+        assert isinstance(by_id[99].error, ValueError)
+        assert by_id[before].status == by_id[after].status == "ok"
+        np.testing.assert_array_equal(by_id[before].output, model.run(good_before))
+        np.testing.assert_array_equal(by_id[after].output, model.run(good_after))
+        assert not server._pending
+        # the failed wave is counted: retried to its budget, then poisoned;
+        # only the two good waves count as served batches
+        assert server.stats.retries == server.config.max_retries
+        assert server.stats.poisoned == 1
+        assert server.stats.batches == 2
+        assert server.stats.requests == 2
         assert server.stats.wall_time_s > 0
-        (req,) = server.flush(strict=True)
-        np.testing.assert_array_equal(req.output, model.run(good_after))
 
     def test_failed_wave_keeps_threaded_server_usable(self):
         from repro.runtime.server import _Pending
 
         rng = np.random.default_rng(48)
-        server = _model(self._chained(rng, 1)).serve(ServerConfig(
-            max_wave_rows=2, executor="threaded",
-        ))
-        server._pending.append(
-            _Pending(rid=99, x=rng.standard_normal((2, 7)), submitted_at=0.0)
-        )
-        with pytest.raises(ValueError):
-            server.flush(strict=True)
-        out = server.serve(rng.standard_normal((2, 24)))
-        assert out.rows == 2  # the server survives a poisoned flush
+        model = _model(self._chained(rng, 1))
+        server = model.serve(ServerConfig(max_wave_rows=2, executor="threaded"))
+        try:
+            server._pending.append(
+                _Pending(rid=99, x=rng.standard_normal((2, 7)), submitted_at=0.0)
+            )
+            x = rng.standard_normal((2, 24))
+            mate = server.submit(x)
+            by_id = {s.request_id: s for s in server.flush()}
+            assert by_id[99].status == "failed"
+            assert by_id[mate].status == "ok"
+            np.testing.assert_array_equal(by_id[mate].output, model.run(x))
+            assert server.stats.poisoned == 1
+            assert server.stats.retries == server.config.max_retries
+            out = server.serve(rng.standard_normal((2, 24)))
+            assert out.status == "ok" and out.rows == 2  # the server survives
+        finally:
+            server.close()
 
     def test_graceful_flush_isolates_poison_request(self):
         """Default flush never raises: the poison request terminates alone
@@ -526,3 +540,32 @@ class TestExecutorInvariance:
         for got, want, x in zip(outs["threaded"], outs["inline"], reqs):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(got, model.run(x))
+
+
+@pytest.mark.parametrize("executor", ["inline", "threaded"])
+@pytest.mark.parametrize("epilogue", [None, "bias_gelu"])
+@pytest.mark.parametrize("pattern", ["tw", "dense", "ew", "nm"])
+@given(
+    seed=st.integers(0, 2**16),
+    rows=st.integers(1, 2 * FEATURE_MAJOR_MIN_ROWS),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+@settings(max_examples=4, deadline=None)
+def test_every_compiled_pattern_serves_bit_identical_to_run(
+    pattern, epilogue, executor, seed, rows, dtype
+):
+    """The server executes the model's own wave steps for every compiled
+    pattern: TW layers through ``tw_gemm``, dense and mask-only layers
+    through their mask-expanded weight.  A served request is bit-identical
+    to ``run()`` on the same rows, on both sides of the feature-major
+    cut-off."""
+    rng = np.random.default_rng(seed)
+    dims = (16, 24, 16, 16)
+    weights = [rng.standard_normal((k, n)).astype(dtype) for k, n in zip(dims, dims[1:])]
+    model = repro.compile(weights, pattern=pattern, sparsity=0.5, granularity=8,
+                          dtype=dtype, epilogue=epilogue)
+    x = rng.standard_normal((rows, dims[0]))
+    with model.serve(executor=executor) as server:
+        served = server.serve(x)
+    assert served.status == "ok", served.error
+    np.testing.assert_array_equal(served.output, model.run(x))
