@@ -404,8 +404,10 @@ class CompiledTWModel:
         :class:`~repro.runtime.executor.WaveStep` objects.  Each holds the
         layer's format and the plan of the slot
         :meth:`~repro.runtime.placement.Placement.wave_slots` assigns it
-        (or the mask-expanded weight of a non-TW layer), its epilogue and
-        its live input rows (:func:`~repro.kernels.masked.live_rows`).
+        (or the mask-expanded weight of a non-TW layer), its epilogue, its
+        live input rows (:func:`~repro.kernels.masked.live_rows`) and, when
+        the next layer reads only those, the packed output columns it
+        writes (``cols``; the epilogue's vectors are sliced to them).
         Built on first use, memoised per distinct slot assignment.
         """
         slots = tuple(self.placement.wave_slots(wave_index, self.n_layers))
@@ -418,23 +420,37 @@ class CompiledTWModel:
         self._require_weights("execute")
         devices = self.placement.devices
         labels = self.placement.device_labels()
+        layers = self.layers
+        # input features each layer's GEMM reduces over: the columns the
+        # previous layer can write
+        rows = [None] + [live_rows(l.tw, l.epilogue) for l in layers[:-1]]
         steps = []
-        rows = None  # input features the previous layer can write
-        for i, (l, slot) in enumerate(zip(self.layers, slots)):
-            if i and l.shape[0] != self.layers[i - 1].shape[1]:
+        for i, (l, slot) in enumerate(zip(layers, slots)):
+            if i and l.shape[0] != layers[i - 1].shape[1]:
                 raise ValueError(
                     f"layer {i} K={l.shape[0]} does not chain onto layer "
-                    f"{i - 1} N={self.layers[i - 1].shape[1]}"
+                    f"{i - 1} N={layers[i - 1].shape[1]}"
                 )
+            # Store_C_Tile_with_Mask: write only the columns the next layer
+            # reads, when it is a TW GEMM restricted to them and its
+            # epilogue does not add this layer's output back as a residual
+            nxt = layers[i + 1] if i + 1 < len(layers) else None
+            cols = None
+            if nxt is not None and nxt.tw is not None and not (
+                nxt.epilogue and EPILOGUES.create(nxt.epilogue.name).uses_residual
+            ):
+                cols = rows[i + 1]
+            epilogue = l.epilogue
+            if cols is not None and epilogue is not None:
+                epilogue = epilogue.take(cols)
             steps.append(
                 WaveStep(
                     layer=i, tw=l.tw, plan=l.plans.get(devices[slot]),
-                    slot=slot, label=labels[slot], epilogue=l.epilogue,
-                    rows=rows,
+                    slot=slot, label=labels[slot], epilogue=epilogue,
+                    rows=rows[i], cols=cols,
                     weight=l.masked_dense() if l.tw is None else None,
                 )
             )
-            rows = live_rows(l.tw, l.epilogue)
         return tuple(steps)
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -464,7 +480,8 @@ class CompiledTWModel:
         """:meth:`run`, plus a TEW CSC residual per layer when given.
 
         A residual writes columns the TW part pruned, so every layer then
-        reduces over its full ``K``, not the step's live rows.
+        reduces over its full ``K`` and writes its full width, not the
+        step's live rows and packed columns.
         """
         self._require_weights("run")
         a = np.atleast_2d(np.asarray(x))
@@ -475,18 +492,20 @@ class CompiledTWModel:
                 f"input K={a.shape[1]} != model K={self.layers[0].shape[0]}"
             )
         for step in self.wave_steps(0):
+            epilogue = step.epilogue
             if step.tw is None:
                 # the GEMM helper tw_gemm uses: same BLAS orientation
                 y = host_gemm(a, step.weight)
             elif residuals is None:
-                y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows)
+                y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows, cols=step.cols)
             else:
                 # the CSC payload is float64: add in float64, keep y's dtype
                 y = tw_gemm(a, step.tw, plan=step.plan)
                 y = (y + csc_left_spmm(a, residuals[step.layer])).astype(
                     y.dtype, copy=False
                 )
-            a = apply_epilogue(y, step.epilogue, residual=a) if step.epilogue else y
+                epilogue = self.layers[step.layer].epilogue  # full width
+            a = apply_epilogue(y, epilogue, residual=a) if epilogue else y
         return a
 
     def serve(

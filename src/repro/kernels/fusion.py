@@ -35,7 +35,7 @@ the executor and ``CompiledTWModel.run()`` both call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -89,9 +89,16 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh approximation, as in BERT)."""
+    """Gaussian error linear unit (tanh approximation, as in BERT).
+
+    The cube is spelled ``x * x * x``, as in :func:`repro.nn.functional.gelu`
+    and the fused :func:`bias_gelu`.  ``x**3`` goes through libm ``pow``:
+    30 ms against 0.6 ms for the two multiplies on a 128×3072 float32
+    array (2-core x86-64).  The two spellings round the cube differently;
+    ``tests/test_kernels_conv_fusion.py`` bounds how far that moves GELU.
+    """
     x = np.asarray(x)
-    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))))
 
 
 def dropout(x: np.ndarray, p: float = 0.0, seed: int = 0) -> np.ndarray:
@@ -186,13 +193,15 @@ def bias_gelu(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Fused Add-bias + GeLU.
 
     Bit-identical to :func:`bias_gelu_reference` in float64 (identical
-    operation order; only temporaries differ); float16/float32 inputs
-    accumulate in fp32 and round once at the end.
+    operation order, the cube included: ``(h * h) * h`` as in :func:`gelu`;
+    only temporaries differ); float16/float32 inputs accumulate in fp32 and
+    round once at the end.
     """
     x = np.asarray(x)
     acc = _acc_dtype(x.dtype)
     h = x.astype(acc, copy=False) + np.asarray(bias, dtype=acc)
-    t = h**3
+    t = h * h
+    t *= h
     t *= 0.044715
     t += h
     t *= _SQRT_2_OVER_PI
@@ -278,6 +287,20 @@ class EpilogueSpec:
     p: float = 0.0
     seed: int = 0
     eps: float = 1e-5
+
+    def take(self, cols: np.ndarray) -> "EpilogueSpec":
+        """This spec on output columns ``cols`` only (vectors sliced once).
+
+        For an :attr:`Epilogue.elementwise` epilogue, applying the result to
+        ``y[:, cols]`` gives exactly the columns ``cols`` of applying this
+        spec to ``y`` — how a TW layer that writes only its live columns
+        runs its epilogue on them alone.
+        """
+        def pick(v):
+            return None if v is None else np.asarray(v)[cols]
+
+        return replace(self, bias=pick(self.bias), gamma=pick(self.gamma),
+                       beta=pick(self.beta))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,20 @@ skipped instead of multiplied.  Callers derive ``rows`` statically per
 layer from the model, never from the activations or from how work is
 split, so every path through a layer stack runs the same reduction.
 
+Between two TW layers the store side follows: ``Store_C_Tile_with_Mask``
+writes only the kept columns.  ``tw_gemm(a, w, rows=..., cols=...)``
+returns the packed ``M × len(cols)`` array of the columns the next layer
+reads, the layer's elementwise epilogue runs on those columns alone (its
+vectors sliced once, :meth:`~repro.kernels.fusion.EpilogueSpec.take`),
+and the next ``tw_gemm`` takes that array as its ``a[:, rows]`` without
+gathering again.  No zero-fill, no scatter, no epilogue work on pruned
+neurons.  :meth:`repro.api.CompiledTWModel.wave_steps` decides it once
+per layer: a step writes packed when the next step is a TW GEMM whose
+``rows`` are this layer's live columns and whose epilogue does not read
+this output as a residual.  Full width stays before a non-TW layer, after
+an epilogue that writes dead columns or is row-wise (LayerNorm), and at
+the model output.
+
 A float32 GEMM (also the float16 and int8 paths, which compute in float32)
 is written feature-major from :data:`FEATURE_MAJOR_MIN_ROWS` activation
 rows on (``B.T @ A.T`` into an ``N × M`` buffer), so the
@@ -52,7 +66,9 @@ rows on (``B.T @ A.T`` into an ``N × M`` buffer), so the
 is the ``M × N`` transposed view — Fortran-ordered, which the next layer's
 GEMM consumes without a copy.  Smaller batches and float64 run row-major
 (``A @ B``), which host BLAS runs faster there.  A layer that keeps every
-column skips the zero-fill and the scatter entirely.
+column, or writes packed, skips the zero-fill and the scatter entirely.
+A restricted GEMM reads its reduced input Fortran-ordered whether it was
+gathered or handed over packed, so both give the same bits.
 
 The operand is memoised on the weight (keyed by the sorted tile ids, the
 compute dtype and, when restricted, the live rows), which is what lets a
@@ -218,6 +234,7 @@ def tw_gemm(
     weight: TiledTWMatrix,
     plan=None,
     rows: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Compute ``A @ W`` for a TW-compacted weight matrix as one GEMM.
 
@@ -227,7 +244,9 @@ def tw_gemm(
     Parameters
     ----------
     a:
-        Dense activations ``M×K``.
+        Dense activations ``M×K`` — or, with ``rows``, the packed
+        ``M×len(rows)`` activations ``A[:, rows]`` a ``cols=`` call of the
+        previous layer writes.
     weight:
         The TW-compacted weight.
     plan:
@@ -240,56 +259,90 @@ def tw_gemm(
         Optional strictly increasing indices of the input features that can
         be nonzero (see :func:`live_rows`).  The GEMM then reduces over
         ``a[:, rows]`` only; every other column of ``a`` must be zero, or
-        the result is not ``A @ W``.  ``None`` (or every row) runs the full
-        ``K``.
+        the result is not ``A @ W``.  An ``a`` with ``len(rows)`` columns
+        is that gather already and is used as it is.  ``None`` (or every
+        row) runs the full ``K``.
+    cols:
+        Optional strictly increasing output columns to write, a superset
+        of the columns the tiles own (see :func:`live_columns`).  The
+        result is then the packed ``M×len(cols)`` array ``(A @ W)[:, cols]``
+        (``Store_C_Tile_with_Mask`` writing only kept columns): when
+        ``cols`` are exactly the owned columns the GEMM writes it with no
+        zero-fill or scatter.  ``None`` writes all ``N`` columns.
 
     Notes
     -----
     Matches :func:`tw_gemm_reference` bit-identically on exactly-
     representable data; on continuous data the zero-padded reduction only
-    differs by summation-order rounding.  The output dtype follows
-    ``np.result_type(a, weight payload)`` instead of the reference's
-    unconditional ``float64`` promotion (see :func:`compute_dtypes`).  A
-    float32 GEMM from :data:`FEATURE_MAJOR_MIN_ROWS` rows on returns a
-    Fortran-ordered view (see :func:`host_gemm`).
+    differs by summation-order rounding.  Packed input and output hold the
+    same bits as the full-width forms they stand for.  The output dtype
+    follows ``np.result_type(a, weight payload)`` instead of the
+    reference's unconditional ``float64`` promotion (see
+    :func:`compute_dtypes`).  A float32 GEMM from
+    :data:`FEATURE_MAJOR_MIN_ROWS` rows on returns a Fortran-ordered view
+    (see :func:`host_gemm`).
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("a must be 2-D")
     k, n = weight.shape
-    if a.shape[1] != k:
-        raise ValueError(f"A columns {a.shape[1]} != weight K {k}")
+    if rows is not None:
+        rows = _index_array(rows, "rows")
+        rows = None if rows.size == k else rows
+    if cols is not None:
+        cols = _index_array(cols, "cols")
+    packed = rows is not None and a.shape[1] == rows.size
+    if a.shape[1] != k and not packed:
+        live = "" if rows is None else f" or its {rows.size} live rows"
+        raise ValueError(f"A columns {a.shape[1]} != weight K {k}{live}")
     # a weight without tiles has no payload dtype: the activations decide
     w_dtype = weight.dtype if weight.tiles else a.dtype
     out_dtype, compute_dtype = compute_dtypes(a.dtype, w_dtype)
     m = a.shape[0]
+    width = n if cols is None else cols.size
     tile_ids = tuple(range(len(weight.tiles))) if plan is None else plan_tile_ids(plan)
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise ValueError("rows must be a 1-D integer index array")
-        rows = None if rows.size == k else rows.astype(np.int64, copy=False)
     operand = layer_operand(weight, tile_ids, compute_dtype, rows)
     if operand is None:
-        return np.zeros((m, n), dtype=out_dtype)
-    panel, cols = operand
+        return np.zeros((m, width), dtype=out_dtype)
+    panel, owned = operand
     if rows is not None:
-        # Load_A_Tile_with_Mask for the whole layer: dead rows are skipped
-        a = a[:, rows]
+        # Load_A_Tile_with_Mask for the whole layer: dead rows are skipped.
+        # The reduced input takes one layout, gathered or packed (NumPy
+        # gathers columns Fortran-ordered): small-matrix BLAS kernels round
+        # differently per operand layout
+        a = np.asfortranarray(a if packed else a[:, rows])
     if a.dtype != compute_dtype:
         a = a.astype(compute_dtype)
-    if cols.size == n:
-        # every column kept: the GEMM writes the output, no fill or scatter
+    if owned.size == width and (cols is None or np.array_equal(owned, cols)):
+        # every written column is owned: the GEMM writes the output, no
+        # fill or scatter
         out = host_gemm(a, panel)
-    elif _feature_major(a):
-        # each kept column lands as one contiguous row
-        out_t = np.zeros((n, m), dtype=compute_dtype)
-        out_t[cols] = panel.T @ a.T
-        out = out_t.T
     else:
-        out = np.zeros((m, n), dtype=compute_dtype)
-        out[:, cols] = a @ panel
+        at = owned if cols is None else _positions(cols, owned)
+        if _feature_major(a):
+            # each kept column lands as one contiguous row
+            out_t = np.zeros((width, m), dtype=compute_dtype)
+            out_t[at] = panel.T @ a.T
+            out = out_t.T
+        else:
+            out = np.zeros((m, width), dtype=compute_dtype)
+            out[:, at] = a @ panel
     return out if compute_dtype == out_dtype else out.astype(out_dtype)
+
+
+def _index_array(idx, name: str) -> np.ndarray:
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D integer index array")
+    return idx.astype(np.int64, copy=False)
+
+
+def _positions(cols: np.ndarray, owned: np.ndarray) -> np.ndarray:
+    """Where each of the sorted ``owned`` columns sits in sorted ``cols``."""
+    at = np.searchsorted(cols, owned)
+    if at.size and (at[-1] >= cols.size or np.any(cols[at] != owned)):
+        raise ValueError("cols must include every column the tiles write")
+    return at
 
 
 def plan_tile_ids(plan) -> tuple[int, ...]:
@@ -418,7 +471,9 @@ def live_rows(
     layer (``prev_tw is None``), after an epilogue that can write dead
     columns, and when every column is live.  A pure function of the
     model, never of the activations, so every caller derives the same
-    rows for a layer.
+    rows for a layer.  When it is not ``None`` the previous layer can also
+    write just these columns, packed (``tw_gemm(..., cols=)``), since the
+    next layer reads nothing else.
     """
     if prev_tw is None:
         return None

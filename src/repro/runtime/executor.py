@@ -39,11 +39,12 @@ regardless of which thread runs them, and waves never share mutable state
 (the operand memos on frozen weights are value-deterministic, so racing
 builders write identical entries).  Only *wall-time* and the measured
 busy stats differ.  ``rows`` — the input features a step's GEMM reduces
-over — is static per step: :meth:`repro.api.CompiledTWModel.wave_steps`
-fixes it on each :class:`WaveStep`, and executors only pass it through.
-It must never be derived from how a wave is split into per-worker
-segments: a segment that restarted the chain with ``rows=None`` would sum
-over a different ``K`` than ``inline`` and change the output bits.
+over — and ``cols`` — the packed columns it writes — are static per step:
+:meth:`repro.api.CompiledTWModel.wave_steps` fixes them on each
+:class:`WaveStep`, and executors only pass them through.  They must never
+be derived from how a wave is split into per-worker segments: a segment
+that restarted the chain with ``rows=None`` would sum over a different
+``K`` than ``inline`` and change the output bits.
 
 Fault tolerance (ISSUE 6)
 -------------------------
@@ -91,6 +92,11 @@ __all__ = [
 
 EXECUTORS = Registry("executor")
 
+#: what ``ThreadedExecutor.close()`` puts on each worker queue
+_STOP = object()
+#: bound on how long ``ThreadedExecutor.close()`` waits for its workers
+_CLOSE_JOIN_S = 5.0
+
 
 @dataclass(frozen=True)
 class WaveStep:
@@ -113,8 +119,15 @@ class WaveStep:
     epilogue: EpilogueSpec | None = None
     #: the input features this step's GEMM reduces over
     #: (:func:`~repro.kernels.masked.live_rows` of the previous layer;
-    #: ``None`` = all of ``K``), fixed when the step is built
+    #: ``None`` = all of ``K``), fixed when the step is built.  When the
+    #: previous step wrote packed (its ``cols`` are these rows) the input
+    #: holds just these columns
     rows: np.ndarray | None = None
+    #: the output columns this step writes, packed into an ``M × len(cols)``
+    #: array (``tw_gemm(..., cols=)``): the next step's ``rows``, set only
+    #: when the next step is a TW GEMM that reads nothing else.  The
+    #: ``epilogue`` vectors are already sliced to them.  ``None`` = all ``N``
+    cols: np.ndarray | None = None
     #: the mask-expanded dense weight of a layer without a TW format
     weight: np.ndarray | None = None
 
@@ -187,7 +200,7 @@ def _execute_steps(
         if step.tw is None:
             y = host_gemm(a, step.weight)
         else:
-            y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows)
+            y = tw_gemm(a, step.tw, plan=step.plan, rows=step.rows, cols=step.cols)
         if step.epilogue is not None:
             y = apply_epilogue(y, step.epilogue, residual=a)
         a = y
@@ -225,9 +238,9 @@ class Executor:
     def close(self) -> None:
         """Release executor-owned resources (idempotent).
 
-        A no-op for both registered executors: ``inline`` runs on the
-        calling thread and ``threaded``'s daemon threads die with the
-        interpreter.  The server calls this from ``TWModelServer.close()``.
+        A no-op for ``inline``, which runs on the calling thread;
+        ``threaded`` stops and joins its workers.  The server calls this
+        from ``TWModelServer.close()``.
         """
 
 
@@ -287,6 +300,7 @@ class ThreadedExecutor(Executor):
     threads, spawned on first use of a worker index and reused across
     ``run`` calls), so a serving loop flushing per request does not pay
     thread creation/teardown inside the wall-times it is measuring.
+    :meth:`close` stops and joins them.
 
     Parameters
     ----------
@@ -335,8 +349,11 @@ class ThreadedExecutor(Executor):
     def _worker_loop(self, q: queue.SimpleQueue) -> None:
         # stateless: every item carries its run's state, so one persistent
         # thread serves any number of (even interleaved) run() calls
-        while True:
+        me = threading.current_thread()
+        while me in self._threads:  # a respawn or close() retires it
             item = q.get()
+            if item is _STOP:
+                return
             try:
                 state, ti, seg_idx, a = item
             except (TypeError, ValueError):
@@ -381,6 +398,24 @@ class ThreadedExecutor(Executor):
             )
             self._threads[worker_idx] = t
             t.start()
+
+    def close(self) -> None:
+        """Stop every worker and join it, for at most :data:`_CLOSE_JOIN_S`.
+
+        Each queue gets a stop sentinel behind the work already on it, so
+        a worker finishes what it holds first.  A thread the watchdog
+        abandoned is no longer listed; it exits when its stalled step
+        returns.  Idempotent, and the executor stays usable: the next
+        ``run`` spawns fresh workers.
+        """
+        with self._spawn_lock:
+            queues, threads = self._queues, self._threads
+            self._queues, self._threads = [], []
+        for q in queues:
+            q.put(_STOP)
+        deadline = time.monotonic() + _CLOSE_JOIN_S
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def run(self, tasks) -> list[WaveResult]:
         state = _ThreadedRun(self)

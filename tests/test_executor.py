@@ -8,6 +8,7 @@ verified with a ``latency`` fault on every step, whose sleeps must
 overlap across slots.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -297,3 +298,36 @@ class TestPersistentWorkers:
         # so the driver can never slurp the whole stream upfront
         for i in range(2, len(tasks)):
             assert results[i - 2].done_at <= pulled_at[i]
+
+    def test_close_stops_and_joins_workers(self):
+        rng = np.random.default_rng(12)
+        before = threading.active_count()
+        ex = ThreadedExecutor()
+        ex.run(_tasks(rng, n_waves=2, slots=(0, 0, 1, 1)))
+        workers = list(ex._threads)
+        assert threading.active_count() == before + 2
+        ex.close()
+        ex.close()  # idempotent
+        assert not any(t.is_alive() for t in workers)
+        assert threading.active_count() == before
+        # a closed executor still runs: it spawns fresh workers
+        (again,) = ex.run(_tasks(rng, n_waves=1, slots=(0,)))
+        assert again.error is None
+        ex.close()
+        assert threading.active_count() == before
+
+    def test_closing_threaded_servers_leaks_no_threads(self):
+        import repro
+
+        rng = np.random.default_rng(13)
+        model = repro.compile([rng.standard_normal((24, 32)), rng.standard_normal((32, 16))],
+                              sparsity=0.5, granularity=8, dtype=np.float32)
+        x = rng.standard_normal((4, 24)).astype(np.float32)
+        before = threading.active_count()
+        for _ in range(5):
+            server = model.serve(executor="threaded")
+            server.submit(x)
+            (res,) = server.flush()
+            assert res.status == "ok"
+            server.close()
+        assert threading.active_count() == before

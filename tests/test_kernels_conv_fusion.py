@@ -153,6 +153,28 @@ class TestFusion:
             layernorm(x, gamma, beta), 2 * layernorm(x) + 1, atol=1e-12
         )
 
+    #: (atol, rtol) of the ``x * x * x`` GELU cube against the libm
+    #: ``x**3`` form it replaced.  Measured on N(0, 16) inputs: 5.6% of
+    #: float32 ``gelu`` outputs move, by at most 2.6e-8 (4.8e-7 through the
+    #: all-float32 ``bias_gelu``); float64 moves by at most 8.9e-16
+    CUBE_BOUND = {np.float32: (1e-6, 1e-6), np.float64: (4e-15, 4e-15)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cube_by_multiplies_stays_near_the_pow_form(self, dtype):
+        from repro.kernels.fusion import _SQRT_2_OVER_PI
+
+        def gelu_pow(h):
+            return 0.5 * h * (1.0 + np.tanh(_SQRT_2_OVER_PI * (h + 0.044715 * h**3)))
+
+        rng = np.random.default_rng(17)
+        x = (4 * rng.standard_normal((256, 1024))).astype(dtype)
+        b = (4 * rng.standard_normal(1024)).astype(dtype)
+        atol, rtol = self.CUBE_BOUND[dtype]
+        np.testing.assert_allclose(gelu(x), gelu_pow(x), rtol=rtol, atol=atol)
+        fused = bias_gelu(x, b)
+        assert fused.dtype == dtype
+        np.testing.assert_allclose(fused, gelu_pow(x + b).astype(dtype), rtol=rtol, atol=atol)
+
     def test_fused_equals_composed(self):
         """The fusion correctness claim: fused == composition of unfused."""
         rng = np.random.default_rng(4)

@@ -333,3 +333,118 @@ def test_pickle_and_deepcopy_drop_the_derived_memos():
     for clone in (pickle.loads(pickle.dumps(tw)), copy.deepcopy(tw)):
         assert set(clone.__dict__) == {"shape", "granularity", "tiles"}
         np.testing.assert_array_equal(tw_gemm(a, clone), tw_gemm(a, tw))
+
+
+def test_packed_input_and_output_hold_the_full_width_bits():
+    """``tw_gemm(..., cols=)`` writes ``(A @ W)[:, cols]``, and a packed
+    ``A[:, rows]`` input reduces exactly like the full-width one."""
+    prev = _weight(12, 24, 32, 4, "random", "random", "float32")
+    tw = _weight(13, 32, 40, 8, "random", "random", "float32")
+    rows = live_columns(prev)
+    assert 0 < rows.size < 32
+    owned = live_columns(tw)
+    for m in (3, FEATURE_MAJOR_MIN_ROWS + 5):
+        a = tw_gemm(_activations(12, m, 24, "float32"), prev)
+        full = tw_gemm(a, tw, rows=rows)
+        packed = tw_gemm(a[:, rows], tw, rows=rows, cols=owned)
+        assert packed.shape == (m, owned.size)
+        np.testing.assert_array_equal(packed, full[:, owned])
+        # a superset of the owned columns is zero-filled where nothing writes
+        wider = np.union1d(owned, np.arange(0, 40, 3))
+        np.testing.assert_array_equal(tw_gemm(a, tw, rows=rows, cols=wider), full[:, wider])
+    with pytest.raises(ValueError, match="include every column"):
+        tw_gemm(a, tw, cols=owned[1:])
+    with pytest.raises(ValueError, match="live rows"):
+        tw_gemm(a[:, 1:], tw, rows=rows)
+
+
+MIDDLE = ("none", "gelu_zero_bias", "gelu_live_bias", "gelu_dead_bias")
+
+
+def _middle_spec(kind, tw, rng, dtype):
+    """``bias_gelu`` on the middle layer: zero bias, a bias on live columns
+    only (still packs), or one nonzero dead-column bias (stays full width)."""
+    if kind == "none":
+        return None
+    n = tw.shape[1]
+    bias = np.zeros(n, dtype=dtype)
+    if kind != "gelu_zero_bias":
+        bias[live_columns(tw)] = rng.standard_normal(live_columns(tw).size)
+    dead = np.setdiff1d(np.arange(n), live_columns(tw))
+    if kind == "gelu_dead_bias" and dead.size:
+        bias[rng.choice(dead)] = 0.75
+    return EpilogueSpec(name="bias_gelu", bias=bias)
+
+
+packing_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.lists(st.integers(6, 40), min_size=4, max_size=4),  # K, N1, N2, N3
+    st.sampled_from([2, 4, 8]),  # G
+    st.sampled_from(["float64", "float32", "float16", "int8"]),
+    st.sampled_from([1, 5, FEATURE_MAJOR_MIN_ROWS - 1, FEATURE_MAJOR_MIN_ROWS, 40]),
+    st.sampled_from(MIDDLE),
+    st.booleans(),  # bias_layernorm on the last layer
+)
+
+
+@given(packing_cases)
+@settings(max_examples=30, deadline=None)
+def test_packed_forward_matches_the_full_width_chain(case):
+    """A TW layer whose successor reads only its live columns writes them
+    packed and runs its epilogue on them alone; ``run()`` and every
+    executor x placement still return the full-width chain's bits."""
+    import dataclasses
+
+    import repro
+    from repro.gpu.device import T4, V100
+    from repro.runtime.placement import Placement
+
+    seed, dims, g, dtype, m, middle, last_ln = case
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal((k, n)) / np.sqrt(k) for k, n in zip(dims, dims[1:])]
+    param = np.float64 if dtype == "float64" else np.float32
+    single = repro.compile(weights, pattern="tw", sparsity=0.6, granularity=g,
+                           dtype=np.dtype(dtype))
+    specs = [None, _middle_spec(middle, single.layers[1].tw, rng, param), None]
+    if last_ln:
+        n = dims[-1]
+        specs[2] = EpilogueSpec(
+            name="bias_layernorm", bias=rng.standard_normal(n).astype(param),
+            gamma=rng.standard_normal(n).astype(param),
+            beta=rng.standard_normal(n).astype(param),
+        )
+    sharded = repro.compile(weights, pattern="tw", sparsity=0.6, granularity=g,
+                            dtype=np.dtype(dtype),
+                            placement=Placement("layer_sharded", (V100, T4)))
+    x = _activations(seed, m, dims[0], "float32")
+
+    for model in (single, sharded):
+        model.layers = [dataclasses.replace(l, epilogue=s) for l, s in zip(model.layers, specs)]
+        want = x.astype(model.activation_dtype)
+        rows = None
+        for l in model.layers:  # full width, full epilogue vectors
+            y = tw_gemm(want, l.tw, rows=rows)
+            want = apply_epilogue(y, l.epilogue, residual=want) if l.epilogue else y
+            rows = live_rows(l.tw, l.epilogue)
+        steps = model.wave_steps(0)
+        for step, nxt in zip(steps, steps[1:]):
+            if nxt.rows is None:
+                assert step.cols is None
+            else:
+                np.testing.assert_array_equal(step.cols, nxt.rows)
+        assert steps[-1].cols is None
+        if middle == "gelu_dead_bias" and live_columns(model.layers[1].tw).size < dims[2]:
+            assert steps[1].cols is None  # gelu(bias) lands on a dead column
+
+        got = model.run(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        for executor in ("inline", "threaded"):
+            server = model.serve(executor=executor)
+            try:
+                server.submit(x)
+                (res,) = server.flush()
+            finally:
+                server.close()
+            assert res.status == "ok", res
+            np.testing.assert_array_equal(res.output, got)
